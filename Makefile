@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet test race lint-fixtures analysis-smoke bench telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
+.PHONY: check fmt vet test bench-module race lint-fixtures analysis-smoke bench telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
 
-## check: everything CI runs — formatting, vet, build+tests, the race
-## detector over the concurrency-sensitive packages, the sppc -lint
+## check: everything CI runs — formatting, vet, build+tests, the
+## tests of the nested benchmarks module, the race detector over the
+## concurrency-sensitive packages, the sppc -lint
 ## self-check over the shipped IR fixtures, the per-diagnostic
 ## analysis smoke test, the disabled-telemetry overhead smoke test,
 ## the commit-pipeline differential crash tests plus a tiny run of
@@ -11,8 +12,9 @@ GO ?= go
 ## tests plus a tiny run of the compile experiment, the KV service
 ## suite plus a tiny run of the serve experiment, the request-
 ## tracing smoke test plus a sampled run of the serve experiment,
-## and the MVCC snapshot suite plus a tiny run of the scan experiment.
-check: fmt vet test race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
+## and the MVCC snapshot and scan-index suite, ten seconds of the scan
+## fuzz target and a tiny run of the scan experiment.
+check: fmt vet test bench-module race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -25,9 +27,16 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+## bench-module: benchmarks/ is its own Go module (BENCHMARK.json's
+## ledger), which `go test ./...` from the root does not reach.
+bench-module:
+	$(GO) test -C benchmarks ./...
+
 ## race: the concurrency-sensitive packages under the race detector —
 ## the memory path (device, allocator, lanes), the runtimes above it,
-## the concurrent kvstore workloads, and the compiled dispatch.
+## the concurrent kvstore workloads (writers maintaining the ordered
+## index under scanning snapshots among them), and the compiled
+## dispatch.
 race:
 	$(GO) test -race ./internal/pmem ./internal/pmemobj ./internal/hooks ./internal/kvstore ./internal/telemetry ./internal/trace ./internal/interp ./internal/server ./internal/wire ./client
 
@@ -109,10 +118,15 @@ trace-smoke:
 ## mvcc-smoke: the MVCC snapshot contract — frozen-under-storm property
 ## test, epoch-reclaim leak check, differential fault verdicts on the
 ## snapshot path, mid-storm crash recovery, scan oracle, end-to-end
-## OpScan — plus a tiny run of the scan experiment asserting the
+## OpScan — and the ordered index against its chain-walk oracle
+## (prefix-copy regression, pre-activation snapshots, rehash and
+## reclaim under a pin, crash + reopen, fault verdicts, hook-check and
+## telemetry counts, the reply framing), ten seconds of the scan fuzz
+## target, plus a tiny run of the scan experiment asserting the
 ## snapshot reader keeps a non-zero read rate under the write storm.
 mvcc-smoke:
-	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run='^$$' -fuzz=FuzzKVScanModel -fuzztime=10s ./internal/kvstore
 	@out="$$($(GO) run ./cmd/sppbench -exp scan -scale 0.002)"; \
 	echo "$$out"; \
 	echo "$$out" | awk '$$1=="mvcc" && $$2=="storm" { found=1; if ($$3+0 <= 0) bad=1 } \

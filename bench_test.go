@@ -7,6 +7,8 @@ package spp
 // follow, since they are what the figures ultimately measure.
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -145,3 +147,115 @@ func BenchmarkCheckedLoadSafePM(b *testing.B) { benchmarkLoad(b, ProtectionSafeP
 // BenchmarkCheckedLoadMemcheck measures the addressability-tracking
 // access cost.
 func BenchmarkCheckedLoadMemcheck(b *testing.B) { benchmarkLoad(b, ProtectionMemcheck) }
+
+// Scan benchmarks: the shapes that would expose a cliff in the ordered
+// index (DESIGN.md §17). 20 000 keys of 256-byte values under SPP —
+// the ledger's serve_scan population without the socket.
+
+const (
+	scanBenchKeys  = 20000
+	scanBenchValue = 256
+)
+
+func scanBenchKey(buf []byte, i int) []byte {
+	return fmt.Appendf(buf[:0], "key-%012d", i)
+}
+
+// scanBenchStore preloads the population. With activate set it runs
+// one scan, so the store carries its index from then on.
+func scanBenchStore(b *testing.B, activate bool) *Store {
+	b.Helper()
+	pool, err := Open(Options{PoolSize: 128 << 20, Protection: ProtectionSPP})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := pool.OpenStore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	kbuf, value := make([]byte, 0, 16), make([]byte, scanBenchValue)
+	for i := 0; i < scanBenchKeys; i++ {
+		if err := st.Put(scanBenchKey(kbuf, i), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if activate {
+		if err := st.Scan(nil, nil, func(_, _ []byte) bool { return false }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st
+}
+
+// BenchmarkScanBounded times one bounded scan, preceded by `puts`
+// overwrites of random keys (timed too: an index moves scan cost into
+// the writer, and the sum is what a mixed workload pays). rows = 0 is
+// the full range.
+func BenchmarkScanBounded(b *testing.B) {
+	st := scanBenchStore(b, false)
+	for _, bc := range []struct {
+		name       string
+		rows, puts int
+	}{
+		{"rows32/idle", 32, 0},
+		{"rows32/put1", 32, 1},
+		{"rows32/put64", 32, 64},
+		{"rows4096", 4096, 0},
+		{"full", 0, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(1))
+			lobuf, hibuf, kbuf := make([]byte, 0, 16), make([]byte, 0, 16), make([]byte, 0, 16)
+			value := make([]byte, scanBenchValue)
+			for i := 0; i < b.N; i++ {
+				for p := 0; p < bc.puts; p++ {
+					if err := st.Put(scanBenchKey(kbuf, rng.Intn(scanBenchKeys)), value); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var lo, hi []byte
+				want := scanBenchKeys
+				if bc.rows > 0 {
+					start := rng.Intn(scanBenchKeys - bc.rows)
+					lo, hi = scanBenchKey(lobuf, start), scanBenchKey(hibuf, start+bc.rows)
+					want = bc.rows
+				}
+				got := 0
+				if err := st.Scan(lo, hi, func(k, v []byte) bool {
+					got++
+					sink += uint64(len(k) + len(v))
+					return true
+				}); err != nil {
+					b.Fatal(err)
+				}
+				if got != want {
+					b.Fatalf("scan returned %d rows, want %d", got, want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPutIndexed is what the index costs a writer: the same
+// overwrite on a store that has never scanned and on one that has.
+func BenchmarkPutIndexed(b *testing.B) {
+	for _, activate := range []bool{false, true} {
+		name := "never-scanned"
+		if activate {
+			name = "indexed"
+		}
+		b.Run(name, func(b *testing.B) {
+			st := scanBenchStore(b, activate)
+			rng := rand.New(rand.NewSource(1))
+			kbuf, value := make([]byte, 0, 16), make([]byte, scanBenchValue)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Put(scanBenchKey(kbuf, rng.Intn(scanBenchKeys)), value); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

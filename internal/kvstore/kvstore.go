@@ -45,6 +45,9 @@ type Store struct {
 	pinMu  sync.Mutex
 	pins   map[uint64]int
 	minPin atomic.Uint64
+	// indexed is set once every shard root carries its ordered index
+	// (activateIndex); writers never read it, they look at their root.
+	indexed atomic.Bool
 }
 
 type shard struct {

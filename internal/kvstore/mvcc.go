@@ -38,12 +38,18 @@ const (
 type headPage [headPageSize]pmemobj.Oid
 
 // shardRoot is one published immutable view of a shard: the bucket
-// geometry, the live-key count, and every bucket's chain head. Once
-// stored in shard.root a shardRoot is never mutated.
+// geometry, the live-key count, every bucket's chain head and, once a
+// scan has activated it, the ordered index of the same population.
+// Once stored in shard.root a shardRoot is never mutated.
+//
+// Index invariant: a non-nil index, walked in order, yields exactly
+// the keys reachable from the heads, each bound to the oid of the entry
+// that holds it in this root.
 type shardRoot struct {
 	nbuckets uint64
 	count    uint64
 	pages    []*headPage
+	index    *rootIndex
 }
 
 func newShardRoot(nbuckets, count uint64) *shardRoot {
@@ -66,17 +72,28 @@ func (r *shardRoot) setHead(b uint64, h pmemobj.Oid) {
 }
 
 // withHead returns a copy of r with bucket b's head replaced and the
-// count adjusted, sharing every untouched page with r.
+// count adjusted, sharing every untouched page — and the index, which
+// the caller brings up to date with reindex — with r.
 func (r *shardRoot) withHead(b uint64, h pmemobj.Oid, delta int64) *shardRoot {
 	nr := &shardRoot{
 		nbuckets: r.nbuckets,
 		count:    uint64(int64(r.count) + delta),
 		pages:    append([]*headPage(nil), r.pages...),
+		index:    r.index,
 	}
 	pg := *r.pages[b>>headPageBits]
 	pg[b&headPageMask] = h
 	nr.pages[b>>headPageBits] = &pg
 	return nr
+}
+
+// reindex brings the index an unpublished root inherited up to date
+// with the one mutation of bucket b that made the root (rootIndex.apply
+// has the arguments).
+func (r *shardRoot) reindex(b uint64, key []byte, match, fresh pmemobj.Oid, prefix, copies []pmemobj.Oid) {
+	if r.index != nil {
+		r.index = r.index.apply(uint32(b>>headPageBits), key, match, fresh, prefix, copies)
+	}
 }
 
 // Retire-node layout: {next oid, count u64, oids[count]}. Nodes cap at
@@ -288,13 +305,20 @@ func (s *Store) copyEntry(c *ctx, tx *pmemobj.Tx, entry, next pmemobj.Oid) pmemo
 }
 
 // copyChain rebuilds prefix (given head first) in front of tail and
-// returns the new head.
-func (s *Store) copyChain(c *ctx, tx *pmemobj.Tx, prefix []pmemobj.Oid, tail pmemobj.Oid) pmemobj.Oid {
-	head := tail
+// returns the new head; for an indexed root it also returns the copy
+// made of each prefix entry, for reindex.
+func (s *Store) copyChain(c *ctx, tx *pmemobj.Tx, prefix []pmemobj.Oid, tail pmemobj.Oid, indexed bool) (head pmemobj.Oid, copies []pmemobj.Oid) {
+	if indexed {
+		copies = make([]pmemobj.Oid, len(prefix))
+	}
+	head = tail
 	for i := len(prefix) - 1; i >= 0 && c.Err() == nil; i-- {
 		head = s.copyEntry(c, tx, prefix[i], head)
+		if indexed {
+			copies[i] = head
+		}
 	}
-	return head
+	return head, copies
 }
 
 // appendRetire persists the superseded oids as retire nodes linked at
@@ -389,18 +413,19 @@ func (s *Store) putMVCC(tr *trace.Req, key, value []byte) error {
 	if err := c.Take(); err != nil {
 		return err
 	}
-	var newHead pmemobj.Oid
-	var nodes []pmemobj.Oid
+	var newHead, fresh pmemobj.Oid
+	var nodes, copies []pmemobj.Oid
 	delta := int64(1)
 	err := c.Run(func(tx *pmemobj.Tx) {
 		var retired []pmemobj.Oid
 		if match.IsNull() {
 			// Insert at head: nothing to copy, nothing to retire.
-			newHead = s.newEntry(c, tx, key, value, root.head(b))
+			fresh = s.newEntry(c, tx, key, value, root.head(b))
+			newHead = fresh
 		} else {
 			delta = 0
-			fresh := s.newEntry(c, tx, key, value, rest)
-			newHead = s.copyChain(c, tx, prefix, fresh)
+			fresh = s.newEntry(c, tx, key, value, rest)
+			newHead, copies = s.copyChain(c, tx, prefix, fresh, root.index != nil)
 			retired = append(append(retired, prefix...), match)
 		}
 		nodes = s.persistPublish(c, tx, sh, b, newHead, delta, retired)
@@ -408,7 +433,9 @@ func (s *Store) putMVCC(tr *trace.Req, key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	s.publish(sh, root.withHead(b, newHead, delta), nodes)
+	next := root.withHead(b, newHead, delta)
+	next.reindex(b, key, match, fresh, prefix, copies)
+	s.publish(sh, next, nodes)
 	if err := s.maybeRehashMVCC(sh, tr); err != nil {
 		return err
 	}
@@ -435,15 +462,17 @@ func (s *Store) deleteMVCC(tr *trace.Req, key []byte) (bool, error) {
 		return false, nil
 	}
 	var newHead pmemobj.Oid
-	var nodes []pmemobj.Oid
+	var nodes, copies []pmemobj.Oid
 	err := c.Run(func(tx *pmemobj.Tx) {
-		newHead = s.copyChain(c, tx, prefix, rest)
+		newHead, copies = s.copyChain(c, tx, prefix, rest, root.index != nil)
 		nodes = s.persistPublish(c, tx, sh, b, newHead, -1, append(prefix, match))
 	})
 	if err != nil {
 		return false, err
 	}
-	s.publish(sh, root.withHead(b, newHead, -1), nodes)
+	next := root.withHead(b, newHead, -1)
+	next.reindex(b, key, match, pmemobj.OidNull, prefix, copies)
+	s.publish(sh, next, nodes)
 	return true, s.drainShard(sh, c, tr)
 }
 
@@ -466,6 +495,12 @@ func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
 	c.Trace = tr
 	newRoot := newShardRoot(newN, root.count)
 	var nodes []pmemobj.Oid
+	var ixb *ixBuilder
+	if root.index != nil {
+		// Every entry moves, so the index is rebuilt from the copies
+		// rather than patched.
+		ixb = newIxBuilder(newRoot)
+	}
 	err := c.Run(func(tx *pmemobj.Tx) {
 		fresh, err := s.rt.TxAlloc(tx, newN*uint64(s.oidSize))
 		if err != nil {
@@ -473,22 +508,15 @@ func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
 			return
 		}
 		var retired []pmemobj.Oid
-		for bkt := uint64(0); bkt < root.nbuckets && c.Err() == nil; bkt++ {
-			entry := root.head(bkt)
-			for !entry.IsNull() && c.Err() == nil {
-				ep := c.Direct(entry)
-				klen := c.Load(ep, enKLen)
-				kb := c.LoadBytes(ep, s.entryDataOff(), klen)
-				if c.Err() != nil {
-					return
-				}
-				nb := hashKey(kb) % newN
-				cp := s.copyEntry(c, tx, entry, newRoot.head(nb))
-				newRoot.setHead(nb, cp)
-				retired = append(retired, entry)
-				entry = c.LoadOid(ep, enNext)
+		s.walkRoot(c, root, func(_ uint64, entry pmemobj.Oid, _ uint64, key []byte) {
+			nb := hashKey(key) % newN
+			cp := s.copyEntry(c, tx, entry, newRoot.head(nb))
+			newRoot.setHead(nb, cp)
+			retired = append(retired, entry)
+			if ixb != nil {
+				ixb.add(nb, key, cp)
 			}
-		}
+		})
 		if c.Err() != nil {
 			return
 		}
@@ -514,6 +542,10 @@ func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
 	})
 	if err != nil {
 		return err
+	}
+	if ixb != nil {
+		newRoot.index = ixb.index()
+		metIndexBuilds.Inc()
 	}
 	s.publish(sh, newRoot, nodes)
 	return nil
@@ -604,6 +636,63 @@ func (s *Store) loadRoot(c *ctx, sh *shard) (*shardRoot, error) {
 		r.setHead(b, c.LoadOid(bp, int64(b)*s.oidSize))
 	}
 	return r, c.Take()
+}
+
+// walkRoot calls fn for every entry reachable from root, bucket by
+// bucket, with the entry's bucket, its pointer and its key loaded
+// through the hooks. It stops at the first error, left pending on c.
+func (s *Store) walkRoot(c *ctx, root *shardRoot, fn func(b uint64, entry pmemobj.Oid, ep uint64, key []byte)) {
+	for b := uint64(0); b < root.nbuckets && c.Err() == nil; b++ {
+		entry := root.head(b)
+		for !entry.IsNull() && c.Err() == nil {
+			ep := c.Direct(entry)
+			klen := c.Load(ep, enKLen)
+			key := c.LoadBytes(ep, s.entryDataOff(), klen)
+			if c.Err() != nil {
+				return
+			}
+			fn(b, entry, ep, key)
+			entry = c.LoadOid(ep, enNext)
+		}
+	}
+}
+
+// activateIndex gives every shard's current root its ordered index, so
+// that the roots a later Snapshot captures seek instead of walk. The
+// first ordered scan pays for it; a store that never scans never
+// builds one. Each shard is indexed and republished under its lock: a
+// writer ran either before (its root is the one indexed) or runs after
+// (it inherits the index and maintains it), so once a shard's root is
+// indexed every later root of that shard is. Callers activate first
+// and pin second — a snapshot pinned before activation keeps its
+// un-indexed roots and walks. The republished root reaches the same
+// entries, so the epoch does not move and nothing retires.
+func (s *Store) activateIndex() error {
+	if s.indexed.Load() {
+		return nil
+	}
+	c := newCtx(s.rt)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		if root := sh.root.Load(); root.index == nil {
+			ixb := newIxBuilder(root)
+			s.walkRoot(c, root, func(b uint64, entry pmemobj.Oid, _ uint64, key []byte) {
+				ixb.add(b, key, entry)
+			})
+			if err := c.Take(); err != nil {
+				sh.mu.Unlock()
+				return err
+			}
+			nr := *root
+			nr.index = ixb.index()
+			sh.root.Store(&nr)
+			metIndexBuilds.Inc()
+		}
+		sh.mu.Unlock()
+	}
+	s.indexed.Store(true)
+	return nil
 }
 
 // Reclaim frees every retire batch no pinned snapshot can reference.

@@ -114,6 +114,18 @@ func TestSnapshotFrozenUnderStorm(t *testing.T) {
 			t.Fatal("writers made no progress while a snapshot was held")
 		}
 		again := capture()
+		// The first capture activated the index mid-storm (sn itself
+		// keeps its un-indexed roots). A view pinned now carries the
+		// index the writers maintain under the storm; its roots are
+		// immutable, so the walk it is compared with sees the same
+		// population.
+		fresh := s.Snapshot()
+		for _, r := range fresh.roots {
+			checkRootIndex(t, s, r)
+		}
+		if err := fresh.Release(); err != nil {
+			t.Fatal(err)
+		}
 		if len(again) != len(frozen) {
 			t.Fatalf("round %d: snapshot size changed %d -> %d", round, len(frozen), len(again))
 		}
@@ -265,6 +277,11 @@ func TestScanOracle(t *testing.T) {
 			oracle := make(map[string]string)
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 1500; i++ {
+				if i == 100 { // activate early: the rest mutate through the index
+					if err := s.Scan(nil, nil, func(_, _ []byte) bool { return false }); err != nil {
+						t.Fatal(err)
+					}
+				}
 				k := fmt.Sprintf("key-%05d", rng.Intn(600))
 				if rng.Intn(4) == 0 {
 					if _, err := s.Delete([]byte(k)); err != nil {
@@ -278,6 +295,12 @@ func TestScanOracle(t *testing.T) {
 					}
 					oracle[k] = v
 				}
+				if !noMVCC && i >= 100 {
+					checkRootIndex(t, s, s.shardFor(hashKey([]byte(k))).root.Load())
+				}
+			}
+			if !noMVCC {
+				checkStoreIndex(t, s)
 			}
 			sorted := make([]string, 0, len(oracle))
 			for k := range oracle {

@@ -1,16 +1,24 @@
-// Ordered range scans over the hash layout (DESIGN.md §17): each
-// shard's in-range entries are collected from an immutable view and
-// sorted, then the per-shard runs merge through a min-heap into one
-// globally ordered visit. A key lives in exactly one shard, so the
-// merge never sees duplicates.
+// Ordered range scans over the hash layout (DESIGN.md §17): every
+// shard contributes its in-range entries as one key-ordered run, and
+// the runs merge through a min-heap into one globally ordered visit. A
+// key lives in exactly one shard, so the merge never sees duplicates.
+//
+// A run is a cursor over the shard root's ordered index when the root
+// has one — seek lo, step to the successor, O(log n + rows) — and
+// otherwise the root's in-range entries collected by walking every
+// chain and sorted, O(keys in the shard). The walk serves roots pinned
+// before the index was activated and the NoMVCC ablation, and is the
+// oracle the index is tested against.
 package kvstore
 
 import (
 	"bytes"
 	"container/heap"
+	"errors"
 	"sort"
 
 	"repro/internal/pmemobj"
+	"repro/internal/telemetry"
 )
 
 // scanItem is one in-range entry: the key (loaded eagerly — ordering
@@ -34,27 +42,21 @@ func inRange(key, lo, hi []byte) bool {
 // items sorted by key. With eager set, values are copied out too.
 func (s *Store) collectRange(c *ctx, root *shardRoot, lo, hi []byte, eager bool) ([]scanItem, error) {
 	var items []scanItem
-	for b := uint64(0); b < root.nbuckets; b++ {
-		entry := root.head(b)
-		for !entry.IsNull() && c.Err() == nil {
-			ep := c.Direct(entry)
-			klen := c.Load(ep, enKLen)
-			key := c.LoadBytes(ep, s.entryDataOff(), klen)
-			if c.Err() != nil {
-				break
-			}
-			if inRange(key, lo, hi) {
-				it := scanItem{key: key, entry: entry}
-				if eager {
-					vlen := c.Load(ep, enVLen)
-					it.val = c.LoadBytes(ep, s.entryDataOff()+int64(klen), vlen)
-					it.hasVal = true
-				}
-				items = append(items, it)
-			}
-			entry = c.LoadOid(ep, enNext)
+	var walked uint64
+	s.walkRoot(c, root, func(_ uint64, entry pmemobj.Oid, ep uint64, key []byte) {
+		walked++
+		if !inRange(key, lo, hi) {
+			return
 		}
-	}
+		it := scanItem{key: key, entry: entry}
+		if eager {
+			vlen := c.Load(ep, enVLen)
+			it.val = c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen)
+			it.hasVal = true
+		}
+		items = append(items, it)
+	})
+	metScanExamined.Add(walked)
 	if err := c.Take(); err != nil {
 		return nil, err
 	}
@@ -64,16 +66,41 @@ func (s *Store) collectRange(c *ctx, root *shardRoot, lo, hi []byte, eager bool)
 	return items, nil
 }
 
-// mergeHeap is a min-heap of non-empty sorted runs keyed by each run's
-// first item.
-type mergeHeap [][]scanItem
+// run is one shard's in-range entries in key order: the rest of a
+// collected, sorted slice, or (index non-nil) a cursor over the shard
+// root's index bounded by hi. Only non-empty runs exist.
+type run struct {
+	items []scanItem
+	index *rootIndex
+	ix    ixIter
+}
+
+func (r *run) key() []byte {
+	if r.index != nil {
+		return r.ix.node().key
+	}
+	return r.items[0].key
+}
+
+// advance drops the run's head and reports whether an entry remains.
+func (r *run) advance(hi []byte) bool {
+	if r.index == nil {
+		r.items = r.items[1:]
+		return len(r.items) > 0
+	}
+	r.ix.next()
+	return r.ix.inRange(hi)
+}
+
+// mergeHeap is a min-heap of runs keyed by each run's head.
+type mergeHeap []run
 
 func (m mergeHeap) Len() int { return len(m) }
 func (m mergeHeap) Less(i, j int) bool {
-	return bytes.Compare(m[i][0].key, m[j][0].key) < 0
+	return bytes.Compare(m[i].key(), m[j].key()) < 0
 }
 func (m mergeHeap) Swap(i, j int) { m[i], m[j] = m[j], m[i] }
-func (m *mergeHeap) Push(x any)   { *m = append(*m, x.([]scanItem)) }
+func (m *mergeHeap) Push(x any)   { *m = append(*m, x.(run)) }
 func (m *mergeHeap) Pop() any {
 	old := *m
 	x := old[len(old)-1]
@@ -81,36 +108,75 @@ func (m *mergeHeap) Pop() any {
 	return x
 }
 
+// errIndexStale reports an index node whose entry does not hold the
+// node's key: the entry was retired and its block reused, which only a
+// missed reindex can cause. The scan fails rather than return a row
+// the store does not contain.
+var errIndexStale = errors.New("kvstore: ordered index names an entry that no longer holds its key")
+
 // visitMerged merges the per-shard runs and calls fn on each pair in
-// ascending key order, stopping early when fn returns false.
-func (s *Store) visitMerged(c *ctx, runs [][]scanItem, fn func(key, value []byte) bool) error {
-	h := make(mergeHeap, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			h = append(h, r)
+// ascending key order, stopping early when fn returns false. Whatever
+// fn receives was read from PM through the hooks into slices nobody
+// else holds: an indexed row loads its key and value together and
+// checks the key against the index, which is used for order only.
+func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []byte) bool) error {
+	var examined, returned uint64
+	defer func() {
+		if telemetry.On() {
+			metScans.Inc()
+			metScanExamined.Add(examined)
+			metScanReturned.Add(returned)
+		}
+	}()
+	h := mergeHeap(runs)
+	heap.Init(&h)
+	for _, r := range h {
+		if r.index != nil {
+			examined++
 		}
 	}
-	heap.Init(&h)
 	for h.Len() > 0 {
-		run := h[0]
-		it := run[0]
-		val := it.val
-		if !it.hasVal {
-			ep := c.Direct(it.entry)
+		r := &h[0]
+		var key, val []byte
+		if r.index != nil {
+			n := r.ix.node()
+			ep := c.Direct(r.index.entry(n))
 			vlen := c.Load(ep, enVLen)
-			val = c.LoadBytes(ep, s.entryDataOff()+int64(len(it.key)), vlen)
+			klen := len(n.key)
+			data := c.LoadBytes(ep, s.entryDataOff(), uint64(klen)+vlen)
 			if err := c.Take(); err != nil {
 				return err
 			}
+			if !bytes.Equal(data[:klen], n.key) {
+				return errIndexStale
+			}
+			key, val = data[:klen:klen], data[klen:]
+		} else {
+			it := r.items[0]
+			key, val = it.key, it.val
+			if !it.hasVal {
+				ep := c.Direct(it.entry)
+				vlen := c.Load(ep, enVLen)
+				val = c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen)
+				if err := c.Take(); err != nil {
+					return err
+				}
+			}
 		}
-		if !fn(it.key, val) {
+		returned++
+		if !fn(key, val) {
 			return nil
 		}
-		if len(run) > 1 {
-			h[0] = run[1:]
+		if r.advance(hi) {
+			if r.index != nil {
+				examined++
+			}
+			heap.Fix(&h, 0)
+		} else if last := len(h) - 1; last > 0 {
+			h[0], h = h[last], h[:last]
 			heap.Fix(&h, 0)
 		} else {
-			heap.Pop(&h)
+			return nil
 		}
 	}
 	return nil
@@ -118,11 +184,19 @@ func (s *Store) visitMerged(c *ctx, runs [][]scanItem, fn func(key, value []byte
 
 // Scan visits every key in [lo, hi) in ascending byte order (nil lo
 // scans from the start, nil hi to the end), stopping early when fn
-// returns false. Under MVCC it runs against a private snapshot; under
-// NoMVCC it falls back to per-shard locked collection.
+// returns false. Under MVCC it runs against a private snapshot whose
+// roots carry the ordered index — the first scan of a store builds it,
+// O(keys) once; after that a scan costs O(shards · log keys + rows
+// visited) and writers keep the index current. Under NoMVCC it falls
+// back to per-shard locked collection, O(keys) per scan. The key and
+// value slices handed to fn are private copies.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if !s.mvcc {
 		return s.lockedScan(lo, hi, fn)
+	}
+	// Activate, then pin: the snapshot must capture the indexed roots.
+	if err := s.activateIndex(); err != nil {
+		return err
 	}
 	sn := s.Snapshot()
 	err := sn.Scan(lo, hi, fn)
@@ -132,8 +206,15 @@ func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return err
 }
 
+// ixStackHint is the cursor stack depth a scan pre-sizes per shard —
+// about the part of a seek path that lies at or above lo for some
+// thousands of keys per shard; deeper paths grow their own stack.
+const ixStackHint = 8
+
 // Scan is Store.Scan against the snapshot's frozen view: no locks, and
-// the result is stable no matter how hard writers churn.
+// the result is stable no matter how hard writers churn. A snapshot
+// taken after the store's first scan seeks its roots' indexes; one
+// taken before walks every chain of its roots, O(keys) per scan.
 func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if !sn.pinned {
 		return sn.s.lockedScan(lo, hi, fn)
@@ -141,18 +222,39 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if sn.released {
 		return errReleased
 	}
-	c := newCtx(sn.s.rt)
-	runs := make([][]scanItem, 0, len(sn.roots))
-	for _, r := range sn.roots {
-		run, err := sn.s.collectRange(c, r, lo, hi, false)
-		if err != nil {
-			return err
+	s := sn.s
+	c := newCtx(s.rt)
+	runs := make([]run, 0, len(sn.roots))
+	var stacks []*ixNode
+	walked := false
+	for i, r := range sn.roots {
+		if r.index == nil {
+			walked = true
+			items, err := s.collectRange(c, r, lo, hi, false)
+			if err != nil {
+				return err
+			}
+			if len(items) > 0 {
+				runs = append(runs, run{items: items})
+			}
+			continue
 		}
-		if len(run) > 0 {
-			runs = append(runs, run)
+		if stacks == nil {
+			stacks = make([]*ixNode, len(sn.roots)*ixStackHint)
+		}
+		ix := ixIter{stack: stacks[i*ixStackHint : i*ixStackHint : (i+1)*ixStackHint]}
+		ix.seek(r.index.tree, lo)
+		if ix.inRange(hi) {
+			runs = append(runs, run{index: r.index, ix: ix})
 		}
 	}
-	return sn.s.visitMerged(c, runs, fn)
+	if walked {
+		// This view stays un-indexed; the snapshots after it need not.
+		if err := s.activateIndex(); err != nil {
+			return err
+		}
+	}
+	return s.visitMerged(c, runs, hi, fn)
 }
 
 // lockedScan is the NoMVCC fallback: each shard is frozen under its
@@ -161,16 +263,16 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // then the per-shard runs merge exactly like the snapshot path.
 func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	c := newCtx(s.rt)
-	runs := make([][]scanItem, 0, len(s.shards))
+	runs := make([]run, 0, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		root, err := s.loadRoot(c, sh)
 		if err == nil {
-			var run []scanItem
-			run, err = s.collectRange(c, root, lo, hi, true)
-			if len(run) > 0 {
-				runs = append(runs, run)
+			var items []scanItem
+			items, err = s.collectRange(c, root, lo, hi, true)
+			if len(items) > 0 {
+				runs = append(runs, run{items: items})
 			}
 		}
 		sh.mu.RUnlock()
@@ -178,5 +280,5 @@ func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error
 			return err
 		}
 	}
-	return s.visitMerged(c, runs, fn)
+	return s.visitMerged(c, runs, hi, fn)
 }

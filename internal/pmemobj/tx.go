@@ -421,16 +421,24 @@ func (tx *Tx) Commit() error {
 		p.applyRedo(tx.laneOff)
 		p.releaseRedoExts(redoExts)
 	}
+	// Transactional allocations and frees take effect here, so this is
+	// where they join the atomic ones in the alloc/free series; an
+	// aborted transaction's never count.
+	var allocBytes uint64
 	for _, r := range tx.allocs {
 		p.heap.unreserve(r.blk)
 		p.heap.usedBytes.Add(r.size)
 		p.heap.usedBlocks.Add(1)
+		allocBytes += r.size
 	}
+	metAllocs.Add(uint64(len(tx.allocs)))
+	metAllocBytes.Add(allocBytes)
 	for _, f := range freePlans {
 		p.heap.finishFree(f.blk, f.merged)
 		subUsed(&p.heap.usedBytes, f.size)
 		subUsed(&p.heap.usedBlocks, 1)
 	}
+	metFrees.Add(uint64(len(freePlans)))
 	tx.releaseExts()
 	metTxCommit.Inc()
 	metUndoBytes.Observe(tx.undoBytes)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestTxCommitMakesChangesDurable(t *testing.T) {
@@ -483,5 +485,68 @@ func TestConcurrentAtomicAllocFree(t *testing.T) {
 	wg.Wait()
 	if got := p.Stats(); got.AllocatedObjects != 0 {
 		t.Errorf("leaked %d objects", got.AllocatedObjects)
+	}
+}
+
+// TestTxAllocFreeTelemetry moves spp_alloc_total, spp_alloc_bytes_total
+// and spp_free_total through a transaction: the series are documented
+// as atomic+tx, and a committed transaction's allocations and frees
+// must count exactly once while an aborted one's never do.
+func TestTxAllocFreeTelemetry(t *testing.T) {
+	telemetry.Enable()
+	t.Cleanup(telemetry.Disable)
+	p, _ := newTestPool(t, Config{SPP: true})
+	type series struct{ allocs, frees, bytes uint64 }
+	read := func() series {
+		return series{metAllocs.Load(), metFrees.Load(), metAllocBytes.Load()}
+	}
+
+	before := read()
+	tx := p.Begin()
+	a, err := tx.Alloc(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Alloc(200); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != before {
+		t.Errorf("uncommitted tx moved the series: %+v -> %+v", before, got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got := read()
+	if got.allocs-before.allocs != 2 || got.frees != before.frees {
+		t.Errorf("committed 2 tx allocs: allocs +%d frees +%d, want +2 +0",
+			got.allocs-before.allocs, got.frees-before.frees)
+	}
+	if got.bytes-before.bytes < 300 {
+		t.Errorf("alloc bytes +%d, want at least the 300 requested", got.bytes-before.bytes)
+	}
+
+	before = read()
+	tx = p.Begin()
+	if err := tx.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got.frees-before.frees != 1 || got.allocs != before.allocs {
+		t.Errorf("committed 1 tx free: allocs +%d frees +%d, want +0 +1",
+			got.allocs-before.allocs, got.frees-before.frees)
+	}
+
+	before = read()
+	tx = p.Begin()
+	if _, err := tx.Alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != before {
+		t.Errorf("aborted tx moved the series: %+v -> %+v", before, got)
 	}
 }

@@ -403,24 +403,47 @@ func execute(st *kvstore.Store, req wire.Request, tr *trace.Req) wire.Response {
 	case wire.OpScan:
 		// The snapshot-backed scan stops at the client's limit or when
 		// the next pair would overflow the response frame (one status
-		// byte shares the payload budget), whichever comes first.
-		budget := wire.MaxFrame - 1
-		var payload []byte
+		// byte shares the payload budget), whichever comes first. The
+		// reply is built in place behind the frame header, in a buffer
+		// sized once from the first pair: rows of a scan are mostly
+		// alike, and append still grows it when they are not.
+		const budget = wire.MaxFrame - 1
+		frame := make([]byte, wire.RespHeaderLen)
 		var n uint32
 		err := st.Scan(req.Key, req.Hi, func(k, v []byte) bool {
-			if wire.ScanPairSize(len(k), len(v)) > budget-len(payload) {
+			pair := wire.ScanPairSize(len(k), len(v))
+			if pair > budget-(len(frame)-wire.RespHeaderLen) {
 				return false
 			}
-			payload = wire.AppendScanPair(payload, k, v)
+			if n == 0 {
+				frame = make([]byte, wire.RespHeaderLen, wire.RespHeaderLen+scanReplyHint(pair, req.Limit, budget))
+			}
+			frame = wire.AppendScanPair(frame, k, v)
 			n++
 			return req.Limit == 0 || n < req.Limit
 		})
 		if err != nil {
 			return fail(err)
 		}
-		return wire.Response{Status: wire.StatusOK, Payload: payload}
+		return wire.FramedResponse(wire.StatusOK, frame)
 	}
 	return fail(fmt.Errorf("server: unhandled op %d", req.Op))
+}
+
+// scanReplyHint is the payload capacity to reserve for a scan reply
+// whose first pair encodes to pair bytes: room for limit such pairs,
+// never past the frame budget. An unlimited scan gets room for a
+// modest page rather than the whole budget — most ranges end long
+// before a megabyte.
+func scanReplyHint(pair int, limit uint32, budget int) int {
+	const unlimitedRows = 64
+	rows := budget / pair
+	if limit == 0 {
+		rows = min(rows, unlimitedRows)
+	} else if int64(limit) < int64(rows) {
+		rows = int(limit)
+	}
+	return rows * pair
 }
 
 // Close shuts the server down gracefully: stop accepting, nudge every

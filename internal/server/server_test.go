@@ -188,6 +188,61 @@ func TestScanEndToEnd(t *testing.T) {
 	wg.Wait()
 }
 
+// TestScanReplySizing covers the OpScan reply buffer, which is sized
+// once from the first pair: rows that outgrow the estimate still arrive
+// whole, and a range larger than a frame is cut at the last pair that
+// fits instead of failing.
+func TestScanReplySizing(t *testing.T) {
+	const budget = wire.MaxFrame - 1
+	for _, tc := range []struct {
+		pair  int
+		limit uint32
+		want  int
+	}{
+		{pair: 100, limit: 32, want: 3200},
+		{pair: 100, limit: 0, want: 6400},                     // unlimited: a modest page
+		{pair: 100, limit: 1 << 31, want: budget / 100 * 100}, // never past the frame
+		{pair: 600_000, limit: 5, want: 600_000},              // one pair fills it
+		{pair: budget, limit: 0, want: budget},
+	} {
+		if got := scanReplyHint(tc.pair, tc.limit, budget); got != tc.want {
+			t.Errorf("scanReplyHint(%d, %d) = %d, want %d", tc.pair, tc.limit, got, tc.want)
+		}
+	}
+
+	_, addr := startServer(t, Config{Protection: "spp", PoolSize: 64 << 20})
+	c := dial(t, addr, "t")
+	// The first row is the smallest, so every later one overruns the
+	// estimate made from it.
+	sizes := []int{1, 40_000, 3, 90_000, 300_000, 300_000, 300_000, 300_000}
+	for i, n := range sizes {
+		if err := c.Put([]byte(fmt.Sprintf("row-%d", i)), bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kvs, err := c.Scan(nil, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != 4 {
+		t.Fatalf("limited scan returned %d pairs, want 4", len(kvs))
+	}
+	kvs, err = c.Scan(nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The four small rows and three 300000-byte rows fit under 1 MiB;
+	// the fourth does not.
+	if len(kvs) != 7 {
+		t.Fatalf("frame-bounded scan returned %d pairs, want 7", len(kvs))
+	}
+	for i, kv := range kvs {
+		if string(kv.Key) != fmt.Sprintf("row-%d", i) || !bytes.Equal(kv.Value, bytes.Repeat([]byte{byte('a' + i)}, sizes[i])) {
+			t.Fatalf("pair %d = %s with %d value bytes, want row-%d with %d", i, kv.Key, len(kv.Value), i, sizes[i])
+		}
+	}
+}
+
 // TestMalformedFrameDropsConnection sends broken frames and checks the
 // server rejects the stream, closes the connection, and keeps serving
 // well-formed clients.

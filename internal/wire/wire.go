@@ -124,6 +124,23 @@ type Request struct {
 type Response struct {
 	Status  byte
 	Payload []byte
+
+	// frame, set by FramedResponse, is the buffer Payload sits in,
+	// RespHeaderLen bytes from its start.
+	frame []byte
+}
+
+// RespHeaderLen is what WriteResponse puts in front of a payload: the
+// u32 frame length and the status byte.
+const RespHeaderLen = 4 + 1
+
+// FramedResponse returns the response whose payload is
+// frame[RespHeaderLen:]. The caller built the payload in place behind
+// RespHeaderLen reserved bytes, so WriteResponse fills in the header
+// and writes frame as it stands instead of copying the payload into a
+// second buffer. The frame on the wire is the same either way.
+func FramedResponse(status byte, frame []byte) Response {
+	return Response{Status: status, Payload: frame[RespHeaderLen:], frame: frame}
 }
 
 // AppendRequest encodes r onto dst and returns the extended slice.
@@ -260,14 +277,20 @@ func ReadRequest(r io.Reader) (Request, error) {
 
 // WriteResponse encodes and writes one response frame.
 func WriteResponse(w io.Writer, resp Response) error {
-	n := 1 + len(resp.Payload)
+	buf := resp.frame
+	if buf == nil {
+		if 1+len(resp.Payload) > MaxFrame {
+			return ErrFrameTooLarge
+		}
+		buf = make([]byte, RespHeaderLen+len(resp.Payload))
+		copy(buf[RespHeaderLen:], resp.Payload)
+	}
+	n := len(buf) - 4 // status byte + payload
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	buf := make([]byte, 0, 4+n)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = append(buf, resp.Status)
-	buf = append(buf, resp.Payload...)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	buf[4] = resp.Status
 	_, err := w.Write(buf)
 	return err
 }

@@ -271,3 +271,47 @@ func TestEncodeRejectsBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestFramedResponseSameBytes: a response built in place behind the
+// reserved header goes on the wire byte for byte as the same payload
+// handed over as a plain Response, and is written from the buffer it
+// was built in.
+func TestFramedResponseSameBytes(t *testing.T) {
+	frame := make([]byte, RespHeaderLen, 64)
+	frame = AppendScanPair(frame, []byte("k1"), []byte("v1"))
+	frame = AppendScanPair(frame, []byte("key-2"), nil)
+	payload := append([]byte(nil), frame[RespHeaderLen:]...)
+
+	var plain, framed bytes.Buffer
+	if err := WriteResponse(&plain, Response{Status: StatusOK, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	resp := FramedResponse(StatusOK, frame)
+	if !bytes.Equal(resp.Payload, payload) {
+		t.Fatalf("framed payload = %x, want %x", resp.Payload, payload)
+	}
+	if err := WriteResponse(&framed, resp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(framed.Bytes(), plain.Bytes()) {
+		t.Errorf("framed response differs on the wire:\n got %x\nwant %x", framed.Bytes(), plain.Bytes())
+	}
+	if !bytes.Equal(frame, plain.Bytes()) {
+		t.Error("WriteResponse did not fill the header into the caller's frame")
+	}
+	got, err := ReadResponse(&framed)
+	if err != nil || got.Status != StatusOK || !bytes.Equal(got.Payload, payload) {
+		t.Errorf("framed response read back as %+v, %v", got, err)
+	}
+	// An empty scan is a header and nothing else.
+	framed.Reset()
+	if err := WriteResponse(&framed, FramedResponse(StatusOK, make([]byte, RespHeaderLen))); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 0, 0, 1, StatusOK}; !bytes.Equal(framed.Bytes(), want) {
+		t.Errorf("empty framed response = %x, want %x", framed.Bytes(), want)
+	}
+	if err := WriteResponse(&framed, FramedResponse(StatusOK, make([]byte, RespHeaderLen+MaxFrame))); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversize framed response: err = %v, want ErrFrameTooLarge", err)
+	}
+}

@@ -68,6 +68,14 @@ func (s *Store) Count() (uint64, error) {
 // returns false. The whole scan observes one consistent snapshot and
 // never blocks writers; see Snapshot for holding that view across
 // several operations.
+//
+// The store's first scan builds an ordered index over its keys, in
+// DRAM and O(keys) once; from then on writers keep it current and a
+// scan costs O(log keys + rows visited), not O(keys). The index only
+// orders the scan: every key and value handed to fn was read from
+// persistent memory under the pool's protection, into slices fn is free
+// to keep. A pool running -no-mvcc has no index and pays O(keys) per
+// scan.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return wrap(s.kv.Scan(lo, hi, fn))
 }
@@ -102,7 +110,11 @@ func (s *Snap) Count() (uint64, error) {
 	return n, wrap(err)
 }
 
-// Scan is Store.Scan against the snapshot's frozen view.
+// Scan is Store.Scan against the snapshot's frozen view, with the same
+// ownership of the slices handed to fn. A snapshot taken after the
+// store's first scan carries the ordered index as of its own moment and
+// scans in O(log keys + rows visited); one taken before it walks the
+// whole view, O(keys) per scan.
 func (s *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return wrap(s.sn.Scan(lo, hi, fn))
 }
