@@ -12,8 +12,8 @@ GO ?= go
 ## tests plus a tiny run of the compile experiment, the KV service
 ## suite plus a tiny run of the serve experiment, the request-
 ## tracing smoke test plus a sampled run of the serve experiment,
-## and the MVCC snapshot and scan-index suite, ten seconds of the scan
-## fuzz target and a tiny run of the scan experiment.
+## and the MVCC snapshot, scan-index and hash-layout suite, ten seconds
+## of the scan fuzz target and a tiny run of the scan experiment.
 check: fmt vet test bench-module race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
 
 fmt:
@@ -121,11 +121,16 @@ trace-smoke:
 ## OpScan — and the ordered index against its chain-walk oracle
 ## (prefix-copy regression, pre-activation snapshots, rehash and
 ## reclaim under a pin, crash + reopen, fault verdicts, hook-check and
-## telemetry counts, the reply framing), ten seconds of the scan fuzz
-## target, plus a tiny run of the scan experiment asserting the
-## snapshot reader keeps a non-zero read rate under the write storm.
+## telemetry counts, the reply framing), the hash layout (bucket
+## occupancy, a version-0 image migrating at open under every variant,
+## the migration crashed at every fence, the probe/rehash series, the
+## SafePM preload and the allocator regression behind it), ten seconds
+## of the scan fuzz target, plus a tiny run of the scan experiment
+## asserting the snapshot reader keeps a non-zero read rate under the
+## write storm.
 mvcc-smoke:
-	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel|TestPlacement|TestLegacyImage|TestMigrationCrash|TestNewerPlacement|TestLayoutTelemetry|TestSafePMPreload' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestRedoExtensionBeforeLastFreeRun|TestPlannedFreeLeavesLargeRunAllocatable' ./internal/pmemobj -count=1
 	$(GO) test -run='^$$' -fuzz=FuzzKVScanModel -fuzztime=10s ./internal/kvstore
 	@out="$$($(GO) run ./cmd/sppbench -exp scan -scale 0.002)"; \
 	echo "$$out"; \

@@ -161,11 +161,11 @@ func scanBenchKey(buf []byte, i int) []byte {
 	return fmt.Appendf(buf[:0], "key-%012d", i)
 }
 
-// scanBenchStore preloads the population. With activate set it runs
-// one scan, so the store carries its index from then on.
-func scanBenchStore(b *testing.B, activate bool) *Store {
+// kvBenchStore preloads scanBenchKeys keys of valueSize bytes under
+// prot.
+func kvBenchStore(b *testing.B, prot Protection, valueSize int) *Store {
 	b.Helper()
-	pool, err := Open(Options{PoolSize: 128 << 20, Protection: ProtectionSPP})
+	pool, err := Open(Options{PoolSize: 256 << 20, Protection: prot})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,12 +173,20 @@ func scanBenchStore(b *testing.B, activate bool) *Store {
 	if err != nil {
 		b.Fatal(err)
 	}
-	kbuf, value := make([]byte, 0, 16), make([]byte, scanBenchValue)
+	kbuf, value := make([]byte, 0, 16), make([]byte, valueSize)
 	for i := 0; i < scanBenchKeys; i++ {
 		if err := st.Put(scanBenchKey(kbuf, i), value); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return st
+}
+
+// scanBenchStore preloads the scan population. With activate set it
+// runs one scan, so the store carries its index from then on.
+func scanBenchStore(b *testing.B, activate bool) *Store {
+	b.Helper()
+	st := kvBenchStore(b, ProtectionSPP, scanBenchValue)
 	if activate {
 		if err := st.Scan(nil, nil, func(_, _ []byte) bool { return false }); err != nil {
 			b.Fatal(err)
@@ -249,6 +257,51 @@ func BenchmarkPutIndexed(b *testing.B) {
 			st := scanBenchStore(b, activate)
 			rng := rand.New(rand.NewSource(1))
 			kbuf, value := make([]byte, 0, 16), make([]byte, scanBenchValue)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.Put(scanBenchKey(kbuf, rng.Intn(scanBenchKeys)), value); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// Point-operation benchmarks: the ledger's embed_kv population — 20 000
+// keys, 1-KiB values — per protection variant, without the harness
+// around it. What a Get or an overwrite costs is mostly how many chain
+// entries it walks and copies (DESIGN.md §17, key placement).
+
+const kvBenchValue = 1024
+
+var kvBenchVariants = []Protection{ProtectionNone, ProtectionSPP, ProtectionSafePM, ProtectionMemcheck}
+
+func BenchmarkKVGet(b *testing.B) {
+	for _, prot := range kvBenchVariants {
+		b.Run(string(prot), func(b *testing.B) {
+			st := kvBenchStore(b, prot, kvBenchValue)
+			rng := rand.New(rand.NewSource(1))
+			kbuf := make([]byte, 0, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, ok, err := st.Get(scanBenchKey(kbuf, rng.Intn(scanBenchKeys)))
+				if err != nil || !ok {
+					b.Fatalf("Get = %v, %v", ok, err)
+				}
+				sink += uint64(len(v))
+			}
+		})
+	}
+}
+
+func BenchmarkKVPutOverwrite(b *testing.B) {
+	for _, prot := range kvBenchVariants {
+		b.Run(string(prot), func(b *testing.B) {
+			st := kvBenchStore(b, prot, kvBenchValue)
+			rng := rand.New(rand.NewSource(1))
+			kbuf, value := make([]byte, 0, 16), make([]byte, kvBenchValue)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

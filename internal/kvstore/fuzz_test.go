@@ -45,16 +45,19 @@ func fuzzBound(b byte) []byte {
 // FuzzKVScanModel runs byte-driven op scripts against a one-shard SPP
 // store and a sorted-map model. Each op is three bytes {op, a, b}: Put,
 // Delete, Scan[lo, hi, limit], Snapshot, snap-Scan, Release, Reclaim and
-// reopen. Every live scan must equal the model, every snapshot scan the
-// copy of the model frozen when it was pinned, no access may trap, and
-// whenever the store is indexed the index must equal the chain walk.
+// reopen — of the store's own image or, on an odd a, of a version-0
+// image holding the same pairs. Every live scan must equal the model,
+// every snapshot scan the copy of the model frozen when it was pinned,
+// no access may trap, and whenever the store is indexed the index must
+// equal the chain walk.
 func FuzzKVScanModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*400 {
 			script = script[:3*400]
 		}
-		env, err := variant.New(variant.SPP, variant.Options{PoolSize: 4 << 20, HeapSize: 1 << 20})
+		opts := variant.Options{PoolSize: 4 << 20, HeapSize: 1 << 20}
+		env, err := variant.New(variant.SPP, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,8 +143,14 @@ func FuzzKVScanModel(f *testing.F) {
 				}
 			case 8:
 				// A restart: snapshots and the index are volatile and
-				// die with the old process; the data must not.
+				// die with the old process; the data must not. On an odd
+				// a the new process finds the data as a build from before
+				// the placement word left it: two shards, so that the old
+				// rule and bucketOf disagree.
 				snaps = nil
+				if a&1 == 1 {
+					env = legacyImage(t, variant.SPP, opts, 2, model)
+				}
 				if s, err = reopenStore(variant.SPP, env.Dev); err != nil {
 					t.Fatalf("reopen: %v", err)
 				}

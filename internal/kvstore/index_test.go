@@ -193,14 +193,14 @@ func TestIndexTreap(t *testing.T) {
 	}
 }
 
-// sameBucketKeys returns n keys that hash to one bucket of a
-// single-shard store at its initial geometry, so together they form
-// one chain.
-func sameBucketKeys(n int) [][]byte {
+// sameBucketKeys returns n keys that s, a single-shard store at its
+// initial geometry, places in one bucket, so together they form one
+// chain.
+func sameBucketKeys(s *Store, n int) [][]byte {
 	var out [][]byte
 	for i := 0; len(out) < n; i++ {
 		k := []byte(fmt.Sprintf("chain-%05d", i))
-		if hashKey(k)%initialBuckets == 0 {
+		if s.bucketOf(hashKey(k), initialBuckets) == 0 {
 			out = append(out, k)
 		}
 	}
@@ -225,7 +225,7 @@ func TestIndexPrefixCopy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := sameBucketKeys(5)
+			keys := sameBucketKeys(s, 5)
 			model := make(map[string]string)
 			for i, k := range keys {
 				model[string(k)] = fmt.Sprintf("v0-%d", i)
@@ -502,7 +502,7 @@ func TestScanFaultVerdictsMatchLocked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, entry, _ = s.findChain(c, root, hashKey(victim)%root.nbuckets, victim)
+				_, entry, _ = s.findChain(c, root, s.bucketOf(hashKey(victim), root.nbuckets), victim)
 				if entry.IsNull() {
 					t.Fatal("victim entry not found")
 				}

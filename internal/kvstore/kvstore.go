@@ -18,9 +18,11 @@
 package kvstore
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/hooks"
 	"repro/internal/pmaccess"
@@ -77,14 +79,23 @@ const (
 	enVLen = 8
 	enNext = 16
 
-	// Root layout: {nshards u64, dir oid}.
 	defaultShards  = 64
 	initialBuckets = 64
+
+	// Root layout: {nshards u64, dir oid, placement u64}. The placement
+	// word names the rule that maps a key to its bucket (bucketOf). A
+	// store written before the word existed reads 0, which says only
+	// that an entry may sit in any bucket of its shard: open re-buckets
+	// such a store before serving from it.
+	rootDir          = 8
+	placementVersion = 1
 )
 
-func (s *Store) shardHdrSize() uint64 { return 16 + 2*uint64(s.oidSize) }
-func (s *Store) shRetireOff() int64   { return shBuckets + s.oidSize }
-func (s *Store) entryDataOff() int64  { return enNext + s.oidSize }
+func (s *Store) rootSize() uint64        { return 16 + uint64(s.oidSize) }
+func (s *Store) rootPlacementOff() int64 { return rootDir + s.oidSize }
+func (s *Store) shardHdrSize() uint64    { return 16 + 2*uint64(s.oidSize) }
+func (s *Store) shRetireOff() int64      { return shBuckets + s.oidSize }
+func (s *Store) entryDataOff() int64     { return enNext + s.oidSize }
 func (s *Store) entrySize(klen, vlen int) uint64 {
 	return uint64(s.entryDataOff()) + uint64(klen) + uint64(vlen)
 }
@@ -123,7 +134,7 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 	s.mvcc = pool.MVCC()
 	s.pins = make(map[uint64]int)
 	s.minPin.Store(^uint64(0))
-	root, err := rt.Root(8 + uint64(s.oidSize))
+	root, err := rt.Root(s.rootSize())
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +149,15 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 		}
 		nshards = shards
 	}
+	placement := c.Load(c.Direct(root), s.rootPlacementOff())
+	if err := c.Take(); err != nil {
+		return nil, err
+	}
+	if placement > placementVersion {
+		return nil, fmt.Errorf("kvstore: store uses key placement %d, this build knows up to %d", placement, placementVersion)
+	}
 	// Rebuild the volatile shard table.
-	dir := c.LoadOid(c.Direct(root), 8)
+	dir := c.LoadOid(c.Direct(root), rootDir)
 	s.dir = dir
 	dp := c.Direct(dir)
 	s.shards = make([]shard, nshards)
@@ -158,6 +176,11 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 			return nil, err
 		}
 	}
+	if placement != placementVersion {
+		if err := s.migratePlacement(root); err != nil {
+			return nil, err
+		}
+	}
 	if s.mvcc {
 		for i := range s.shards {
 			r, err := s.loadRoot(c, &s.shards[i])
@@ -170,38 +193,78 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 	return s, nil
 }
 
-// initialize lays out the shard directory and shard headers in one
-// transaction.
+// initialize lays out the shards and fills the root — the placement
+// version included — in one transaction.
 func (s *Store) initialize(root pmemobj.Oid, nshards uint64) error {
 	c := newCtx(s.rt)
 	return c.Run(func(tx *pmemobj.Tx) {
-		dir, err := s.rt.TxAlloc(tx, nshards*uint64(s.oidSize))
-		if err != nil {
-			c.Fail(err)
+		dir := s.layoutShards(c, tx, nshards)
+		if c.Err() != nil {
 			return
 		}
-		dp := c.Direct(dir)
-		for i := uint64(0); i < nshards && c.Err() == nil; i++ {
-			hdr, err := s.rt.TxAlloc(tx, s.shardHdrSize())
-			if err != nil {
-				c.Fail(err)
-				return
-			}
-			buckets, err := s.rt.TxAlloc(tx, initialBuckets*uint64(s.oidSize))
-			if err != nil {
-				c.Fail(err)
-				return
-			}
-			hp := c.Direct(hdr)
-			c.Store(hp, shNBuckets, initialBuckets)
-			c.StoreOid(hp, shBuckets, buckets)
-			c.StoreOid(dp, int64(i)*s.oidSize, hdr)
-		}
-		c.Snapshot(tx, root, 8+uint64(s.oidSize))
+		c.Snapshot(tx, root, s.rootSize())
 		rp := c.Direct(root)
 		c.Store(rp, 0, nshards)
-		c.StoreOid(rp, 8, dir)
+		c.StoreOid(rp, rootDir, dir)
+		c.Store(rp, s.rootPlacementOff(), placementVersion)
 	})
+}
+
+// layoutShards allocates the shard directory and, per shard, a header
+// and an empty bucket array, inside tx, and returns the directory.
+func (s *Store) layoutShards(c *ctx, tx *pmemobj.Tx, nshards uint64) pmemobj.Oid {
+	dir, err := s.rt.TxAlloc(tx, nshards*uint64(s.oidSize))
+	if err != nil {
+		c.Fail(err)
+		return pmemobj.OidNull
+	}
+	dp := c.Direct(dir)
+	for i := uint64(0); i < nshards && c.Err() == nil; i++ {
+		hdr, err := s.rt.TxAlloc(tx, s.shardHdrSize())
+		if err != nil {
+			c.Fail(err)
+			break
+		}
+		buckets, err := s.rt.TxAlloc(tx, initialBuckets*uint64(s.oidSize))
+		if err != nil {
+			c.Fail(err)
+			break
+		}
+		hp := c.Direct(hdr)
+		c.Store(hp, shNBuckets, initialBuckets)
+		c.StoreOid(hp, shBuckets, buckets)
+		c.StoreOid(dp, int64(i)*s.oidSize, hdr)
+	}
+	return dir
+}
+
+// migratePlacement brings a placement-0 store — an entry may sit in any
+// bucket of its shard — to the current rule: every shard is re-bucketed
+// at its present bucket count, one transaction each, then the version
+// is stamped in a transaction of its own. Re-bucketing is idempotent
+// and nothing is served before the stamp, so a crash in between just
+// migrates again at the next open. It runs before any root is
+// published, which is why relinking in place is safe under MVCC too.
+func (s *Store) migratePlacement(root pmemobj.Oid) error {
+	c := newCtx(s.rt)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		n := c.Load(c.Direct(sh.hdr), shNBuckets)
+		if err := c.Take(); err != nil {
+			return err
+		}
+		if err := s.rehash(c, sh, n, n); err != nil {
+			return err
+		}
+	}
+	err := c.Run(func(tx *pmemobj.Tx) {
+		c.SnapshotField(tx, root, s.rootPlacementOff(), 8)
+		c.Store(c.Direct(root), s.rootPlacementOff(), placementVersion)
+	})
+	if err == nil {
+		metLayoutMigrations.Inc()
+	}
+	return err
 }
 
 func hashKey(key []byte) uint64 {
@@ -212,6 +275,18 @@ func hashKey(key []byte) uint64 {
 
 func (s *Store) shardFor(h uint64) *shard {
 	return &s.shards[h%uint64(len(s.shards))]
+}
+
+// bucketOf is the placement rule: the bucket, of nbuckets, that holds
+// the key hashing to h. shardFor spends h mod nshards, so the bucket
+// comes from the quotient: within one shard the remainder is constant
+// and, nbuckets being a multiple of the default shard count, would
+// confine the shard to nbuckets/nshards of its buckets, while the
+// quotients of its keys are as spread as the hash. Everything that
+// locates an entry goes through here; placementVersion changes when
+// this does.
+func (s *Store) bucketOf(h, nbuckets uint64) uint64 {
+	return h / uint64(len(s.shards)) % nbuckets
 }
 
 // keyEqual compares the stored key of an entry with key.
@@ -258,21 +333,27 @@ func (s *Store) getLocked(key []byte) ([]byte, bool, error) {
 		return nil, false, c.Take()
 	}
 	buckets := c.LoadOid(hp, shBuckets)
-	entry := c.LoadOid(c.Direct(buckets), int64(h%n)*s.oidSize)
+	entry := c.LoadOid(c.Direct(buckets), int64(s.bucketOf(h, n))*s.oidSize)
+	var val []byte
+	var walked uint64
+	found := false
 	for !entry.IsNull() && c.Err() == nil {
+		walked++
 		ep := c.Direct(entry)
 		if s.keyEqual(c, ep, key) {
 			vlen := c.Load(ep, enVLen)
-			val, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), vlen)
+			v, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), vlen)
 			if err != nil {
 				c.Fail(err)
 				break
 			}
-			return val, true, c.Take()
+			val, found = v, true
+			break
 		}
 		entry = c.LoadOid(ep, enNext)
 	}
-	return nil, false, c.Take()
+	metProbeLength.Observe(walked)
+	return val, found, c.Take()
 }
 
 // Put stores value under key, replacing any existing value.
@@ -297,14 +378,17 @@ func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
 		hp := c.Direct(sh.hdr)
 		n := c.Load(hp, shNBuckets)
 		buckets := c.LoadOid(hp, shBuckets)
-		field := int64(h%n) * s.oidSize
+		field := int64(s.bucketOf(h, n)) * s.oidSize
 		bp := c.Direct(buckets)
 
 		// Replace in place when the key exists and the value fits the
 		// same allocation; otherwise unlink and reinsert.
 		prev := pmemobj.OidNull
 		entry := c.LoadOid(bp, field)
+		var walked uint64
+		defer func() { metProbeLength.Observe(walked) }()
 		for !entry.IsNull() && c.Err() == nil {
+			walked++
 			ep := c.Direct(entry)
 			if s.keyEqual(c, ep, key) {
 				if c.Load(ep, enVLen) == uint64(len(value)) {
@@ -369,9 +453,8 @@ func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
 }
 
 // maybeRehash grows a shard's bucket array when its load factor
-// exceeds one (NoMVCC path: entries are relinked in place). Caller
-// holds the shard lock. The work attributes to the triggering
-// request's maint phase.
+// exceeds one (NoMVCC path). Caller holds the shard lock. The work
+// attributes to the triggering request's maint phase.
 func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
 	c := newCtx(s.rt)
 	c.Trace = tr
@@ -386,8 +469,18 @@ func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
 	}
 	span := tr.Span(trace.PhaseMaint)
 	defer span.End()
-	newN := n * 2
-	return c.Run(func(tx *pmemobj.Tx) {
+	return s.rehash(c, sh, n, n*2)
+}
+
+// rehash moves a shard's entries from its n buckets into a fresh array
+// of newN, relinking them in place, in one transaction. It walks every
+// old bucket and places each entry by bucketOf alone, so it neither
+// needs nor trusts the bucket an entry was found in. Caller excludes
+// every reader and writer of the shard.
+func (s *Store) rehash(c *ctx, sh *shard, n, newN uint64) error {
+	start := time.Now()
+	err := c.Run(func(tx *pmemobj.Tx) {
+		hp := c.Direct(sh.hdr)
 		oldBuckets := c.LoadOid(hp, shBuckets)
 		fresh, err := s.rt.TxAlloc(tx, newN*uint64(s.oidSize))
 		if err != nil {
@@ -407,7 +500,7 @@ func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
 					c.Fail(err)
 					return
 				}
-				field := int64(hashKey(kb)%newN) * s.oidSize
+				field := int64(s.bucketOf(hashKey(kb), newN)) * s.oidSize
 				c.SnapshotField(tx, entry, enNext, uint64(s.oidSize))
 				ep = c.Direct(entry)
 				c.StoreOid(ep, enNext, c.LoadOid(np, field))
@@ -426,6 +519,10 @@ func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
 			c.Fail(err)
 		}
 	})
+	if err == nil {
+		observeRehash(start)
+	}
+	return err
 }
 
 // Delete removes key, reporting whether it was present.
@@ -449,10 +546,13 @@ func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (bool, error) {
 		hp := c.Direct(sh.hdr)
 		n := c.Load(hp, shNBuckets)
 		buckets := c.LoadOid(hp, shBuckets)
-		field := int64(h%n) * s.oidSize
+		field := int64(s.bucketOf(h, n)) * s.oidSize
 		prev := pmemobj.OidNull
 		entry := c.LoadOid(c.Direct(buckets), field)
+		var walked uint64
+		defer func() { metProbeLength.Observe(walked) }()
 		for !entry.IsNull() && c.Err() == nil {
+			walked++
 			ep := c.Direct(entry)
 			if s.keyEqual(c, ep, key) {
 				next := c.LoadOid(ep, enNext)

@@ -244,7 +244,7 @@ func TestValueOverflowCaught(t *testing.T) {
 	hp := c.Direct(sh.hdr)
 	n := c.Load(hp, shNBuckets)
 	buckets := c.LoadOid(hp, shBuckets)
-	entry := c.LoadOid(c.Direct(buckets), int64(hashKey([]byte("k"))%n)*s.oidSize)
+	entry := c.LoadOid(c.Direct(buckets), int64(s.bucketOf(hashKey([]byte("k")), n))*s.oidSize)
 	if err := c.Take(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package kvstore
 
-import "repro/internal/telemetry"
+import (
+	"time"
+
+	"repro/internal/telemetry"
+)
 
 // Scan telemetry: how many keys a scan had to look at for the rows it
 // returned is the figure that separates an index seek from a chain
@@ -11,3 +15,24 @@ var (
 	metScanReturned = telemetry.Default.Counter("spp_kv_scan_rows_returned_total", "rows scans handed to their callers")
 	metIndexBuilds  = telemetry.Default.Counter("spp_kv_index_builds_total", "per-shard ordered-index builds (first-scan activation and rehash)")
 )
+
+// Hash-layout telemetry: the probe length is the cost of the layout as
+// a point operation pays it — a store at load factor one should walk
+// one or two entries, and a p99 far above that means keys are crowding
+// into few buckets.
+var (
+	metProbeLength = telemetry.Default.HistogramBuckets("spp_kv_probe_length",
+		"chain entries a Get, Put or Delete walked to find its key or the end of its bucket",
+		[]uint64{1, 2, 4, 8, 16, 32, 64})
+	metRehashes = telemetry.Default.Counter("spp_kv_rehashes_total", "per-shard bucket-array rebuilds (load-factor doublings and placement migration)")
+	metRehashNS = telemetry.Default.HistogramBuckets("spp_kv_rehash_ns",
+		"duration of one per-shard bucket-array rebuild", telemetry.NSBuckets)
+	metLayoutMigrations = telemetry.Default.Counter("spp_kv_layout_migrations_total", "stores re-bucketed at open because their placement version was older than this build's")
+)
+
+// observeRehash records one completed bucket-array rebuild begun at
+// start.
+func observeRehash(start time.Time) {
+	metRehashes.Inc()
+	metRehashNS.Observe(uint64(time.Since(start)))
+}

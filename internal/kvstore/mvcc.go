@@ -21,6 +21,7 @@ package kvstore
 
 import (
 	"errors"
+	"time"
 
 	"repro/internal/pmemobj"
 	"repro/internal/trace"
@@ -157,20 +158,24 @@ func (s *Store) unpin(e uint64) bool {
 // access goes through the instrumented accessor, so bounds and tag
 // checks fire exactly as on the locked path.
 func (s *Store) getAt(c *ctx, root *shardRoot, h uint64, key []byte) ([]byte, bool, error) {
-	entry := root.head(h % root.nbuckets)
+	entry := root.head(s.bucketOf(h, root.nbuckets))
+	var val []byte
+	var walked uint64
+	found := false
 	for !entry.IsNull() && c.Err() == nil {
+		walked++
 		ep := c.Direct(entry)
 		if s.keyEqual(c, ep, key) {
 			vlen := c.Load(ep, enVLen)
-			val := c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen)
-			if c.Err() != nil {
-				break
+			if v := c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen); c.Err() == nil {
+				val, found = v, true
 			}
-			return val, true, c.Take()
+			break
 		}
 		entry = c.LoadOid(ep, enNext)
 	}
-	return nil, false, c.Take()
+	metProbeLength.Observe(walked)
+	return val, found, c.Take()
 }
 
 // errReleased guards use of a snapshot after Release.
@@ -258,11 +263,13 @@ func (s *Store) findChain(c *ctx, root *shardRoot, b uint64, key []byte) (prefix
 	for !entry.IsNull() && c.Err() == nil {
 		ep := c.Direct(entry)
 		if s.keyEqual(c, ep, key) {
+			metProbeLength.Observe(uint64(len(prefix)) + 1)
 			return prefix, entry, c.LoadOid(ep, enNext)
 		}
 		prefix = append(prefix, entry)
 		entry = c.LoadOid(ep, enNext)
 	}
+	metProbeLength.Observe(uint64(len(prefix)))
 	return prefix, pmemobj.OidNull, pmemobj.OidNull
 }
 
@@ -403,7 +410,7 @@ func (s *Store) putMVCC(tr *trace.Req, key, value []byte) error {
 	defer sh.mu.Unlock()
 
 	root := sh.root.Load()
-	b := h % root.nbuckets
+	b := s.bucketOf(h, root.nbuckets)
 	c := newCtx(s.rt)
 	c.Trace = tr
 
@@ -450,7 +457,7 @@ func (s *Store) deleteMVCC(tr *trace.Req, key []byte) (bool, error) {
 	defer sh.mu.Unlock()
 
 	root := sh.root.Load()
-	b := h % root.nbuckets
+	b := s.bucketOf(h, root.nbuckets)
 	c := newCtx(s.rt)
 	c.Trace = tr
 
@@ -490,6 +497,7 @@ func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
 	span := tr.Span(trace.PhaseMaint)
 	defer span.End()
 
+	start := time.Now()
 	newN := root.nbuckets * 2
 	c := newCtx(s.rt)
 	c.Trace = tr
@@ -509,7 +517,7 @@ func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
 		}
 		var retired []pmemobj.Oid
 		s.walkRoot(c, root, func(_ uint64, entry pmemobj.Oid, _ uint64, key []byte) {
-			nb := hashKey(key) % newN
+			nb := s.bucketOf(hashKey(key), newN)
 			cp := s.copyEntry(c, tx, entry, newRoot.head(nb))
 			newRoot.setHead(nb, cp)
 			retired = append(retired, entry)
@@ -548,6 +556,7 @@ func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
 		metIndexBuilds.Inc()
 	}
 	s.publish(sh, newRoot, nodes)
+	observeRehash(start)
 	return nil
 }
 

@@ -241,7 +241,8 @@ func TestSnapshotFaultVerdictsMatchLocked(t *testing.T) {
 			// the allocation via a raw device write (contents corruption;
 			// allocator and protection metadata stay intact).
 			sh := s.shardFor(hashKey(key))
-			entry := sh.root.Load().head(hashKey(key) % sh.root.Load().nbuckets)
+			root := sh.root.Load()
+			entry := root.head(s.bucketOf(hashKey(key), root.nbuckets))
 			if entry.IsNull() {
 				t.Fatal("victim entry not found")
 			}

@@ -408,14 +408,20 @@ func (h *heap) releaseBlock(p *Pool, r reservation) {
 // forward-adjacent free block in the same arena is absorbed (off the
 // lists, merged into the span) and the whole span turns in-flux so
 // concurrent walks treat it as live until the redo publication
-// settles. Returns the merged span.
+// settles. Only a neighbor smaller than minArenaSpan is absorbed:
+// whatever is absorbed is unallocatable until the redo settles, and a
+// larger run can be most of the free space there is (a fresh arena, or
+// the remainder of a whole-heap compaction), which a concurrent
+// allocator would then be refused while the pool is nearly empty. A
+// run that large loses nothing by staying unmerged until the next
+// compaction. Returns the merged span.
 func (h *heap) planFree(p *Pool, blk, size uint64) (merged uint64) {
 	a := h.arenaOf(blk)
 	a.mu.Lock()
 	merged = size
 	next := blk + size
 	if next < h.hi && h.arenaOf(next) == a {
-		if nsz, ok := a.freeSizeAt(p, next); ok {
+		if nsz, ok := a.freeSizeAt(p, next); ok && nsz < minArenaSpan {
 			a.removeFree(next, nsz)
 			merged += nsz
 		}
@@ -432,18 +438,6 @@ func (h *heap) finishFree(blk, merged uint64) {
 	a.mu.Lock()
 	delete(a.reserved, blk)
 	a.addFree(blk, merged)
-	a.mu.Unlock()
-}
-
-// abortFree undoes a planned free whose publication failed: the block
-// stays allocated and the absorbed neighbor returns to the lists.
-func (h *heap) abortFree(blk, size, merged uint64) {
-	a := h.arenaOf(blk)
-	a.mu.Lock()
-	delete(a.reserved, blk)
-	if merged != size {
-		a.addFree(blk+size, merged-size)
-	}
 	a.mu.Unlock()
 }
 
@@ -767,16 +761,22 @@ func (p *Pool) freeCommon(oid Oid, destOff *uint64) error {
 	lane := p.lanes.acquire()
 	defer p.lanes.release(lane)
 
-	size := p.dev.ReadU64(blk)
-	merged := p.heap.planFree(p, blk, size)
-	entries := []redoEntry{{blk, merged}, {blk + 8, blockFree}}
+	// The log's extension segments, if it needs any, are reserved
+	// before planFree hides the block's free neighbor from the lists.
+	var destEntries []redoEntry
 	if destOff != nil {
-		entries = append(entries, p.destOidEntries(*destOff, OidNull)...)
+		destEntries = p.destOidEntries(*destOff, OidNull)
 	}
-	if err := p.publishRedo(p.laneOff(lane), entries); err != nil {
-		p.heap.abortFree(blk, size, merged)
+	exts, err := p.reserveRedoExts(2 + len(destEntries))
+	if err != nil {
 		return err
 	}
+	size := p.dev.ReadU64(blk)
+	merged := p.heap.planFree(p, blk, size)
+	entries := append([]redoEntry{{blk, merged}, {blk + 8, blockFree}}, destEntries...)
+	p.prepareRedo(p.laneOff(lane), entries, exts)
+	p.applyRedo(p.laneOff(lane))
+	p.releaseRedoExts(exts)
 	p.heap.finishFree(blk, merged)
 	subUsed(&p.heap.usedBytes, size)
 	subUsed(&p.heap.usedBlocks, 1)

@@ -7,48 +7,21 @@ type redoEntry struct {
 	off, val uint64
 }
 
-// prepareRedo writes entries into the lane's redo log — spilling into
-// heap-allocated extension segments when they exceed the lane's
-// capacity — and marks it committed, but does not apply it. Used by
-// transaction commit, where the undo-log invalidation between prepare
-// and apply is the commit point. A crash after prepare is resolved by
-// recovery: the redo is applied if the lane's undo log is inactive and
-// discarded otherwise; extension blocks are in the uncommitted state
-// and are reclaimed by heap rebuild, which runs after lane recovery.
-//
-// The returned reservations must be released by the caller after
-// apply.
-func (p *Pool) prepareRedo(lane uint64, entries []redoEntry) ([]reservation, error) {
-	metRedoEnts.Observe(uint64(len(entries)))
-	s := p.getScratch()
-	defer p.putScratch(s)
-	inLane := len(entries)
-	if inLane > p.redoCap {
-		inLane = p.redoCap
-	}
-	words := s.words[:0]
-	for _, e := range entries[:inLane] {
-		words = append(words, e.off, e.val)
-	}
-	p.dev.WriteU64s(lane+laneRedoBase, words)
-	s.ac.Flush(lane+laneRedoBase, uint64(inLane)*16)
-
+// reserveRedoExts reserves the heap-allocated extension segments a redo
+// log of n entries needs beyond the lane's capacity, in chain order.
+// It runs before the caller plans any free: a planned free takes its
+// forward-adjacent free block — in a nearly full pool, all the free
+// space there is — out of the lists until the redo settles, so a log
+// that looked for its segments afterwards could be refused memory the
+// pool has. The blocks are published uncommitted: a crash reclaims them at heap
+// rebuild, which runs after lane recovery. The caller releases them
+// with releaseRedoExts once the log is applied or abandoned.
+func (p *Pool) reserveRedoExts(n int) ([]reservation, error) {
 	var exts []reservation
-	prevLink := lane + laneRedoExt
-	p.dev.WriteU64(prevLink, 0)
-	rest := entries[inLane:]
-	for len(rest) > 0 {
-		n := len(rest)
-		if n > p.redoCap {
-			n = p.redoCap
-		}
-		resv, err := p.heap.reserveAny(p, redoExtDataOff+uint64(n)*16)
+	for rest := n - p.redoCap; rest > 0; rest -= p.redoCap {
+		resv, err := p.heap.reserveAny(p, redoExtDataOff+uint64(min(rest, p.redoCap))*16)
 		if err != nil {
-			for _, r := range exts {
-				p.heap.releaseBlock(p, r)
-			}
-			s.ac.Drain()
-			s.words = words
+			p.releaseRedoExts(exts)
 			return nil, fmt.Errorf("redo log extension: %w", err)
 		}
 		p.dev.WriteU64(resv.blk, resv.size)
@@ -56,6 +29,35 @@ func (p *Pool) prepareRedo(lane uint64, entries []redoEntry) ([]reservation, err
 		p.dev.WriteU64(resv.blk+8, blockUncommitted)
 		p.dev.Persist(resv.blk+8, 8)
 		p.heap.unreserve(resv.blk)
+		exts = append(exts, resv)
+	}
+	return exts, nil
+}
+
+// prepareRedo writes entries into the lane's redo log — spilling into
+// exts, the segments reserveRedoExts(len(entries)) returned, when they
+// exceed the lane's capacity — and marks it committed, but does not
+// apply it. Used by transaction commit, where the undo-log invalidation
+// between prepare and apply is the commit point. A crash after prepare
+// is resolved by recovery: the redo is applied if the lane's undo log
+// is inactive and discarded otherwise.
+func (p *Pool) prepareRedo(lane uint64, entries []redoEntry, exts []reservation) {
+	metRedoEnts.Observe(uint64(len(entries)))
+	s := p.getScratch()
+	defer p.putScratch(s)
+	inLane := min(len(entries), p.redoCap)
+	words := s.words[:0]
+	for _, e := range entries[:inLane] {
+		words = append(words, e.off, e.val)
+	}
+	p.dev.WriteU64s(lane+laneRedoBase, words)
+	s.ac.Flush(lane+laneRedoBase, uint64(inLane)*16)
+
+	prevLink := lane + laneRedoExt
+	p.dev.WriteU64(prevLink, 0)
+	rest := entries[inLane:]
+	for _, resv := range exts {
+		n := min(len(rest), p.redoCap)
 		// Segment header and entries are contiguous: {next=0, count,
 		// off/val pairs} lands in one bulk write and one flush range.
 		payload := resv.payloadOff()
@@ -68,7 +70,6 @@ func (p *Pool) prepareRedo(lane uint64, entries []redoEntry) ([]reservation, err
 		p.dev.WriteU64(prevLink, payload)
 		s.ac.Flush(prevLink, 8)
 		prevLink = payload + redoExtNextOff
-		exts = append(exts, resv)
 		rest = rest[n:]
 	}
 
@@ -81,7 +82,6 @@ func (p *Pool) prepareRedo(lane uint64, entries []redoEntry) ([]reservation, err
 	p.dev.WriteU64(lane+laneRedoState, redoCommitted)
 	p.persist(lane+laneRedoState, 8)
 	s.words = words
-	return exts, nil
 }
 
 // applyRedo replays a committed redo log in order and discards it.
@@ -127,10 +127,11 @@ func (p *Pool) applyRedo(lane uint64) {
 // atomic (non-transactional) operations. The caller owns the lane;
 // every block the entries touch must be in the arenas' reserved sets.
 func (p *Pool) publishRedo(lane uint64, entries []redoEntry) error {
-	exts, err := p.prepareRedo(lane, entries)
+	exts, err := p.reserveRedoExts(len(entries))
 	if err != nil {
 		return err
 	}
+	p.prepareRedo(lane, entries, exts)
 	p.applyRedo(lane)
 	p.releaseRedoExts(exts)
 	return nil

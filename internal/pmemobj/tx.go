@@ -373,11 +373,21 @@ func (tx *Tx) Commit() error {
 	}
 
 	// 2. Prepare (but do not apply) the redo log with the allocation
-	// state flips and deferred frees. Every block the redo will touch
-	// is in the reserved sets: the tx allocs never left them, and
-	// planFree enters each freed span.
+	// state flips and deferred frees. Its extension segments come first,
+	// while every free block is still on the lists (reserveRedoExts has
+	// the reason); a transaction that cannot have them cannot commit
+	// atomically and aborts. Every block the redo will touch is in the
+	// reserved sets: the tx allocs never left them, and planFree enters
+	// each freed span.
 	type mergedFree struct {
 		blk, size, merged uint64
+	}
+	redoExts, err := p.reserveRedoExts(len(tx.allocs) + 2*len(tx.frees))
+	if err != nil {
+		if err2 := tx.rollback(); err2 != nil {
+			return err2
+		}
+		return err
 	}
 	var entries []redoEntry
 	var freePlans []mergedFree
@@ -390,20 +400,8 @@ func (tx *Tx) Commit() error {
 		entries = append(entries, redoEntry{blk, merged}, redoEntry{blk + 8, blockFree})
 		freePlans = append(freePlans, mergedFree{blk, size, merged})
 	}
-	var redoExts []reservation
 	if len(entries) > 0 {
-		var err error
-		if redoExts, err = p.prepareRedo(tx.laneOff, entries); err != nil {
-			// Too many heap operations for the lane's redo capacity:
-			// the transaction cannot commit atomically; abort it.
-			for _, f := range freePlans {
-				p.heap.abortFree(f.blk, f.size, f.merged)
-			}
-			if err2 := tx.rollback(); err2 != nil {
-				return err2
-			}
-			return err
-		}
+		p.prepareRedo(tx.laneOff, entries, redoExts)
 	}
 
 	// 3. Commit point: invalidate the undo log. The state flip and the

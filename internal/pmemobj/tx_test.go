@@ -299,9 +299,7 @@ func TestCrashWithPreparedRedoBeforeCommitPoint(t *testing.T) {
 	_ = tx.AddRange(root.Off, 8)
 	dev.WriteU64(root.Off, 8)
 	// Hand-prepare a redo that would clobber the root if applied.
-	if _, err := p.prepareRedo(tx.laneOff, []redoEntry{{root.Off, 0xdddd}}); err != nil {
-		t.Fatal(err)
-	}
+	p.prepareRedo(tx.laneOff, []redoEntry{{root.Off, 0xdddd}}, nil)
 
 	q := reopen(t, dev)
 	r, _ := q.Root(64)
@@ -316,9 +314,7 @@ func TestCrashAfterCommitPointAppliesRedo(t *testing.T) {
 	p, dev := newTestPool(t, Config{SPP: true})
 	root, _ := p.Root(64)
 	lane := p.laneOff(0)
-	if _, err := p.prepareRedo(lane, []redoEntry{{root.Off, 0xcafe}}); err != nil {
-		t.Fatal(err)
-	}
+	p.prepareRedo(lane, []redoEntry{{root.Off, 0xcafe}}, nil)
 	q := reopen(t, dev)
 	r, _ := q.Root(64)
 	if got := dev.ReadU64(r.Off); got != 0xcafe {
@@ -410,6 +406,94 @@ func TestUndoLogGrowsWithExtensions(t *testing.T) {
 	}
 	if got := q.Stats(); got.AllocatedObjects != 2 {
 		t.Errorf("extension blocks leaked across crash: %d objects", got.AllocatedObjects)
+	}
+}
+
+// TestRedoExtensionBeforeLastFreeRun: a commit whose redo log needs an
+// extension segment and whose frees include the block in front of the
+// heap's only free run, in a pool full enough for that run to be small.
+// Planning the free absorbs the run — all the free space there is —
+// until the redo settles, so the segment must be reserved first;
+// reserved afterwards, the commit aborted with out-of-memory although
+// the segment fits the free space several times over.
+func TestRedoExtensionBeforeLastFreeRun(t *testing.T) {
+	p, dev := newTestPool(t, Config{Knobs: Knobs{NArenas: 1}, Geometry: Geometry{RedoEntries: 4}})
+	const tail = 32 << 10 // left free: below minArenaSpan, so a planned free absorbs it
+	if _, err := p.Alloc(p.Stats().FreeBytes - tail); err != nil {
+		t.Fatal(err)
+	}
+	var oids [3]Oid
+	for i := range oids {
+		var err error
+		if oids[i], err = p.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := oids[2].Off - blockHdrSize
+	run := last + dev.ReadU64(last)
+	a := p.heap.arenaOf(run)
+	a.mu.Lock()
+	runSize, ok := a.freeSizeAt(p, run)
+	a.mu.Unlock()
+	if !ok || runSize != p.Stats().FreeBytes || runSize >= minArenaSpan {
+		t.Fatalf("block after the last object: free=%v, %d bytes; the heap has %d free", ok, runSize, p.Stats().FreeBytes)
+	}
+
+	before := p.Stats()
+	tx := p.Begin()
+	for _, oid := range oids { // 6 redo entries against a capacity of 4
+		if err := tx.Free(oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	after := p.Stats()
+	if after.AllocatedObjects != before.AllocatedObjects-3 {
+		t.Errorf("%d objects allocated after freeing 3 of %d (a leaked extension segment?)", after.AllocatedObjects, before.AllocatedObjects)
+	}
+	if _, err := p.Alloc(after.FreeBytes / 2); err != nil {
+		t.Errorf("the free run did not come back: %v", err)
+	}
+}
+
+// TestPlannedFreeLeavesLargeRunAllocatable: while a free is planned but
+// not yet published, the space it absorbed is off the lists. A small
+// free neighbor is absorbed (coalescing); the run holding nearly all of
+// the heap is not, so an allocation racing with the free still
+// succeeds — it used to fail with out-of-memory on an empty pool
+// (the 1-arena alloc/free storm of `-exp scaling`, about one run in
+// thirty).
+func TestPlannedFreeLeavesLargeRunAllocatable(t *testing.T) {
+	p, dev := newTestPool(t, Config{Knobs: Knobs{NArenas: 1}})
+	var oids [3]Oid
+	for i := range oids {
+		var err error
+		if oids[i], err = p.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blk := func(o Oid) (off, size uint64) {
+		off = o.Off - blockHdrSize
+		return off, dev.ReadU64(off)
+	}
+	// oids[2] sits in front of the run that is the rest of the heap.
+	last, lastSize := blk(oids[2])
+	if merged := p.heap.planFree(p, last, lastSize); merged != lastSize {
+		t.Fatalf("planned free absorbed %d bytes of the heap's last free run", merged-lastSize)
+	}
+	if _, err := p.Alloc(4096); err != nil {
+		t.Fatalf("Alloc while a free in front of the free run is planned: %v", err)
+	}
+	p.heap.unreserve(last) // withdraw the plan: nothing was published
+	if err := p.Free(oids[2]); err != nil {
+		t.Fatal(err)
+	}
+	// oids[1] now sits in front of a small free block: absorbed.
+	mid, midSize := blk(oids[1])
+	if merged := p.heap.planFree(p, mid, midSize); merged != midSize+lastSize {
+		t.Fatalf("planned free merged to %d bytes, want block %d + free neighbor %d", merged, midSize, lastSize)
 	}
 }
 
