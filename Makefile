@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: check fmt vet test bench-module race lint-fixtures analysis-smoke bench telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
 
 ## check: everything CI runs — formatting, vet, build+tests, the
-## tests of the nested benchmarks module, the race detector over the
+## tests of the nested benchmarks module (also the compile gate for the
+## signatures benchmarks/ uses), the race detector over the
 ## concurrency-sensitive packages, the sppc -lint
 ## self-check over the shipped IR fixtures, the per-diagnostic
 ## analysis smoke test, the disabled-telemetry overhead smoke test,
@@ -96,10 +97,21 @@ compile-smoke:
 
 ## serve-smoke: the KV service suite — multi-tenant clients over a
 ## real socket, malformed-frame rejection, admission-control shedding
-## with bounded latency, kill-and-restart crash recovery — plus a
-## tiny closed-loop run of the serve experiment end to end.
+## with bounded latency, kill-and-restart crash recovery — with the
+## request path's buffer-ownership contract: the allocation guards
+## (steady-state ReadRequest = 0, AppendGet with room = 0, a loopback
+## Get <= 2), one read and one write per request, no stale bytes across
+## requests, the 64 KiB retention cap, caller-owned client results and
+## kvstore copying the keys it keeps; ten seconds of the wire stream
+## fuzz target; plus a tiny closed-loop run of the serve experiment end
+## to end. The staged wire.* rows of benchmarks/ compile against the
+## wire package's one-line compatibility wrappers: bench-module, which
+## `check` runs, is their compile gate.
 serve-smoke:
 	$(GO) test ./internal/server ./internal/wire ./client -count=1
+	$(GO) test -run 'TestAppendGetAllocs|TestPutCopiesCallerBuffers|TestSnapshotFaultVerdictsMatchLocked' ./internal/kvstore -count=1
+	$(GO) test -run 'TestStoreScanRowsAreKept' . -count=1
+	$(GO) test -run='^$$' -fuzz=FuzzWireStream -fuzztime=10s ./internal/wire
 	$(GO) run ./cmd/sppbench -exp serve -scale 0.002
 
 ## trace-smoke: the end-to-end tracing contract — a fully sampled run

@@ -39,7 +39,10 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
+	// wbuf holds the encoded request and hdr receives the reply's frame
+	// header; both are reused from call to call under mu.
+	wbuf []byte
+	hdr  [wire.RespHeaderLen]byte
 }
 
 // Option configures a Client at Dial time.
@@ -70,7 +73,6 @@ func Dial(addr, tenant string, opts ...Option) (*Client, error) {
 		tenant: tenant,
 		conn:   conn,
 		br:     bufio.NewReader(conn),
-		bw:     bufio.NewWriter(conn),
 	}
 	for _, o := range opts {
 		o(c)
@@ -91,7 +93,10 @@ func (c *Client) Close() error {
 }
 
 // do performs one round trip. The connection lock spans write and read
-// so concurrent callers cannot interleave frames.
+// so concurrent callers cannot interleave frames. The request is
+// encoded into the client's buffer and written from it in one Write;
+// the reply's payload, when it has one, is allocated at its exact size
+// and is the caller's to keep.
 func (c *Client) do(req wire.Request) (wire.Response, error) {
 	req.Tenant = c.tenant
 	if c.sampler != nil {
@@ -104,13 +109,18 @@ func (c *Client) do(req wire.Request) (wire.Response, error) {
 	if c.conn == nil {
 		return wire.Response{}, errors.New("client: closed")
 	}
-	if err := wire.WriteRequest(c.bw, req); err != nil {
+	buf, err := wire.AppendRequest(c.wbuf[:0], req)
+	if err != nil {
 		return wire.Response{}, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	c.wbuf = buf
+	if cap(buf) > wire.RetainCap {
+		c.wbuf = nil // one large Put must not stay pinned by an idle client
+	}
+	if _, err := c.conn.Write(buf); err != nil {
 		return wire.Response{}, err
 	}
-	resp, err := wire.ReadResponse(c.br)
+	resp, err := wire.ReadOwnedResponse(c.br, c.hdr[:])
 	if err != nil {
 		return wire.Response{}, err
 	}

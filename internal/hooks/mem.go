@@ -183,15 +183,23 @@ func StoreBytes(rt Runtime, dst uint64, b []byte) error {
 	return Trap(rt, rt.Space().StoreBytes(da, b))
 }
 
-// LoadBytes reads n bytes through a single intrinsic-style check.
-func LoadBytes(rt Runtime, src uint64, n uint64) ([]byte, error) {
+// AppendBytes reads n bytes through a single intrinsic-style check and
+// appends them to dst, which comes back unchanged when the check or the
+// access fails.
+func AppendBytes(rt Runtime, dst []byte, src uint64, n uint64) ([]byte, error) {
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	sa, err := rt.MemIntr(src, n)
 	if err != nil {
-		return nil, Trap(rt, err)
+		return dst, Trap(rt, err)
 	}
-	b, err := rt.Space().LoadBytes(sa, n)
+	b, err := rt.Space().AppendBytes(dst, sa, n)
 	return b, Trap(rt, err)
+}
+
+// LoadBytes reads n bytes through a single intrinsic-style check into a
+// fresh slice.
+func LoadBytes(rt Runtime, src uint64, n uint64) ([]byte, error) {
+	return AppendBytes(rt, nil, src, n)
 }

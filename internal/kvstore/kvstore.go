@@ -37,6 +37,9 @@ type Store struct {
 	oidSize int64
 	shards  []shard
 	dir     pmemobj.Oid // shard directory: nshards embedded oids
+	// proto is the accessor every read copies onto its own stack: what
+	// pmaccess.New derives from the runtime, derived once.
+	proto ctx
 
 	// MVCC state (unused when the pool runs NoMVCC): the global
 	// version epoch, the pinned-epoch refcounts gating reclamation, and
@@ -130,7 +133,7 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 		shards = defaultShards
 	}
 	pool := rt.Pool()
-	s := &Store{rt: rt, pool: pool, oidSize: int64(pool.OidPersistedSize())}
+	s := &Store{rt: rt, pool: pool, oidSize: int64(pool.OidPersistedSize()), proto: *newCtx(rt)}
 	s.mvcc = pool.MVCC()
 	s.pins = make(map[uint64]int)
 	s.minPin.Store(^uint64(0))
@@ -289,52 +292,67 @@ func (s *Store) bucketOf(h, nbuckets uint64) uint64 {
 	return h / uint64(len(s.shards)) % nbuckets
 }
 
-// keyEqual compares the stored key of an entry with key.
+// keyScratch is the stack buffer keyEqual reads a stored key into; a
+// longer key is still compared, through a buffer append allocates.
+const keyScratch = 128
+
+// keyEqual compares the stored key of an entry with key: one checked
+// load of the length, one memory-intrinsic-checked copy of the bytes.
 func (s *Store) keyEqual(c *ctx, ep uint64, key []byte) bool {
 	if c.Load(ep, enKLen) != uint64(len(key)) {
 		return false
 	}
-	stored, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()), uint64(len(key)))
-	if err != nil {
-		c.Fail(err)
-		return false
-	}
-	return string(stored) == string(key)
+	var scratch [keyScratch]byte
+	stored := c.AppendBytes(scratch[:0], ep, s.entryDataOff(), uint64(len(key)))
+	return c.Err() == nil && string(stored) == string(key)
 }
 
-// Get returns the value stored under key. Under MVCC the lookup pins
-// the current epoch and walks the shard's published root with no shard
+// Get returns the value stored under key in a slice of its own.
+func (s *Store) Get(key []byte) ([]byte, bool, error) { return s.AppendGet(nil, key) }
+
+// AppendGet appends the value stored under key to dst and returns the
+// extended slice: the value leaves PM through one hook-checked copy,
+// straight into the caller's buffer. When the key is absent or the
+// lookup fails dst comes back as it was. Under MVCC the lookup pins the
+// current epoch and walks the shard's published root with no shard
 // lock; under NoMVCC it holds the shard's read lock.
-func (s *Store) Get(key []byte) ([]byte, bool, error) {
-	if s.mvcc {
-		h := hashKey(key)
-		sh := s.shardFor(h)
-		e := s.pin()
-		c := newCtx(s.rt)
-		val, ok, err := s.getAt(c, sh.root.Load(), h, key)
-		s.unpin(e)
-		return val, ok, err
+func (s *Store) AppendGet(dst, key []byte) ([]byte, bool, error) {
+	h := hashKey(key)
+	sh := s.shardFor(h)
+	c := s.proto
+	if !s.mvcc {
+		return s.getLocked(&c, sh, dst, h, key)
 	}
-	return s.getLocked(key)
+	e := s.pin()
+	root := sh.root.Load()
+	dst, ok := s.appendValue(&c, dst, root.head(s.bucketOf(h, root.nbuckets)), key)
+	s.unpin(e)
+	return dst, ok, c.Take()
 }
 
 // getLocked is the NoMVCC read path: the shard read lock excludes
-// writers for the duration of the chain walk.
-func (s *Store) getLocked(key []byte) ([]byte, bool, error) {
-	h := hashKey(key)
-	sh := s.shardFor(h)
+// writers while the bucket head is read from PM and the chain walked.
+func (s *Store) getLocked(c *ctx, sh *shard, dst []byte, h uint64, key []byte) ([]byte, bool, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 
-	c := newCtx(s.rt)
 	hp := c.Direct(sh.hdr)
 	n := c.Load(hp, shNBuckets)
 	if n == 0 {
-		return nil, false, c.Take()
+		return dst, false, c.Take()
 	}
 	buckets := c.LoadOid(hp, shBuckets)
-	entry := c.LoadOid(c.Direct(buckets), int64(s.bucketOf(h, n))*s.oidSize)
-	var val []byte
+	head := c.LoadOid(c.Direct(buckets), int64(s.bucketOf(h, n))*s.oidSize)
+	dst, ok := s.appendValue(c, dst, head, key)
+	return dst, ok, c.Take()
+}
+
+// appendValue is the lookup every read shares: it walks the chain that
+// starts at entry for key and appends the value found to dst. Every
+// entry access goes through the instrumented accessor, so bounds and
+// tag checks fire alike on the locked and the snapshot path; a failure
+// stays pending on c and leaves dst as it was.
+func (s *Store) appendValue(c *ctx, dst []byte, entry pmemobj.Oid, key []byte) ([]byte, bool) {
 	var walked uint64
 	found := false
 	for !entry.IsNull() && c.Err() == nil {
@@ -342,18 +360,14 @@ func (s *Store) getLocked(key []byte) ([]byte, bool, error) {
 		ep := c.Direct(entry)
 		if s.keyEqual(c, ep, key) {
 			vlen := c.Load(ep, enVLen)
-			v, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), vlen)
-			if err != nil {
-				c.Fail(err)
-				break
-			}
-			val, found = v, true
+			dst = c.AppendBytes(dst, ep, s.entryDataOff()+int64(len(key)), vlen)
+			found = c.Err() == nil
 			break
 		}
 		entry = c.LoadOid(ep, enNext)
 	}
 	metProbeLength.Observe(walked)
-	return val, found, c.Take()
+	return dst, found
 }
 
 // Put stores value under key, replacing any existing value.
@@ -594,7 +608,7 @@ func (s *Store) Count() (uint64, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		c := newCtx(s.rt)
+		c := s.proto
 		total += c.Load(c.Direct(sh.hdr), shCount)
 		err := c.Take()
 		sh.mu.RUnlock()

@@ -154,30 +154,6 @@ func (s *Store) unpin(e uint64) bool {
 	return none
 }
 
-// getAt runs Get against one immutable root, lock-free. Every entry
-// access goes through the instrumented accessor, so bounds and tag
-// checks fire exactly as on the locked path.
-func (s *Store) getAt(c *ctx, root *shardRoot, h uint64, key []byte) ([]byte, bool, error) {
-	entry := root.head(s.bucketOf(h, root.nbuckets))
-	var val []byte
-	var walked uint64
-	found := false
-	for !entry.IsNull() && c.Err() == nil {
-		walked++
-		ep := c.Direct(entry)
-		if s.keyEqual(c, ep, key) {
-			vlen := c.Load(ep, enVLen)
-			if v := c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen); c.Err() == nil {
-				val, found = v, true
-			}
-			break
-		}
-		entry = c.LoadOid(ep, enNext)
-	}
-	metProbeLength.Observe(walked)
-	return val, found, c.Take()
-}
-
 // errReleased guards use of a snapshot after Release.
 var errReleased = errors.New("kvstore: snapshot used after Release")
 
@@ -219,9 +195,12 @@ func (sn *Snap) Get(key []byte) ([]byte, bool, error) {
 	if sn.released {
 		return nil, false, errReleased
 	}
+	s := sn.s
 	h := hashKey(key)
-	c := newCtx(sn.s.rt)
-	return sn.s.getAt(c, sn.roots[h%uint64(len(sn.roots))], h, key)
+	root := sn.roots[h%uint64(len(sn.roots))]
+	c := s.proto
+	val, ok := s.appendValue(&c, nil, root.head(s.bucketOf(h, root.nbuckets)), key)
+	return val, ok, c.Take()
 }
 
 // Count returns the number of keys in the snapshot's view.

@@ -251,11 +251,25 @@ func TestSnapshotFaultVerdictsMatchLocked(t *testing.T) {
 			binary.LittleEndian.PutUint64(raw[vlenOff:],
 				binary.LittleEndian.Uint64(raw[vlenOff:])+64)
 
-			lv, lok, lerr := s.getLocked(key)
+			c := s.proto
+			lv, lok, lerr := s.getLocked(&c, sh, nil, hashKey(key), key)
 			sn := s.Snapshot()
 			sv, sok, serr := sn.Get(key)
 			if err := sn.Release(); err != nil {
 				t.Fatal(err)
+			}
+			// The appending read is the same walk and the same checked
+			// copy: same verdict, and a refused read leaves the caller's
+			// buffer as it was.
+			av, aok, aerr := s.AppendGet([]byte("reply:"), key)
+			if (aerr == nil) != (serr == nil) || hooks.IsSafetyTrap(aerr) != hooks.IsSafetyTrap(serr) {
+				t.Fatalf("verdicts diverge: AppendGet err=%v, snapshot err=%v", aerr, serr)
+			}
+			if want := append([]byte("reply:"), sv...); aok != sok || !bytes.Equal(av, want) {
+				t.Fatalf("AppendGet = %q,%v, want %q,%v", av, aok, want, sok)
+			}
+			if kind != variant.PMDK && !hooks.IsSafetyTrap(aerr) {
+				t.Fatalf("corrupted vlen read through AppendGet under %s: err=%v, want a safety trap", kind, aerr)
 			}
 			if (lerr == nil) != (serr == nil) ||
 				hooks.IsSafetyTrap(lerr) != hooks.IsSafetyTrap(serr) {

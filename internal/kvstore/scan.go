@@ -116,9 +116,11 @@ var errIndexStale = errors.New("kvstore: ordered index names an entry that no lo
 
 // visitMerged merges the per-shard runs and calls fn on each pair in
 // ascending key order, stopping early when fn returns false. Whatever
-// fn receives was read from PM through the hooks into slices nobody
-// else holds: an indexed row loads its key and value together and
-// checks the key against the index, which is used for order only.
+// fn receives was read from PM through the hooks: an indexed row loads
+// its key and value together and checks the key against the index,
+// which is used for order only. Rows read at visit time share one
+// scratch buffer, so a pair is valid until fn returns and fn copies
+// what it keeps.
 func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []byte) bool) error {
 	var examined, returned uint64
 	defer func() {
@@ -130,6 +132,7 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 	}()
 	h := mergeHeap(runs)
 	heap.Init(&h)
+	var scratch []byte
 	for _, r := range h {
 		if r.index != nil {
 			examined++
@@ -143,10 +146,11 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 			ep := c.Direct(r.index.entry(n))
 			vlen := c.Load(ep, enVLen)
 			klen := len(n.key)
-			data := c.LoadBytes(ep, s.entryDataOff(), uint64(klen)+vlen)
+			data := c.AppendBytes(scratch[:0], ep, s.entryDataOff(), uint64(klen)+vlen)
 			if err := c.Take(); err != nil {
 				return err
 			}
+			scratch = data
 			if !bytes.Equal(data[:klen], n.key) {
 				return errIndexStale
 			}
@@ -157,10 +161,11 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 			if !it.hasVal {
 				ep := c.Direct(it.entry)
 				vlen := c.Load(ep, enVLen)
-				val = c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen)
+				val = c.AppendBytes(scratch[:0], ep, s.entryDataOff()+int64(len(key)), vlen)
 				if err := c.Take(); err != nil {
 					return err
 				}
+				scratch = val
 			}
 		}
 		returned++
@@ -189,7 +194,8 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 // O(keys) once; after that a scan costs O(shards · log keys + rows
 // visited) and writers keep the index current. Under NoMVCC it falls
 // back to per-shard locked collection, O(keys) per scan. The key and
-// value slices handed to fn are private copies.
+// value slices handed to fn are valid until fn returns; fn copies what
+// it keeps.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if !s.mvcc {
 		return s.lockedScan(lo, hi, fn)
@@ -223,7 +229,8 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 		return errReleased
 	}
 	s := sn.s
-	c := newCtx(s.rt)
+	acc := s.proto
+	c := &acc
 	runs := make([]run, 0, len(sn.roots))
 	var stacks []*ixNode
 	walked := false
@@ -262,7 +269,8 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // (values eagerly — once the lock drops a writer may free the entry),
 // then the per-shard runs merge exactly like the snapshot path.
 func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	c := newCtx(s.rt)
+	acc := s.proto
+	c := &acc
 	runs := make([]run, 0, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]

@@ -80,17 +80,24 @@ func (c *Ctx) Store(p uint64, off int64, v uint64) {
 	}
 }
 
-// LoadBytes reads n bytes at p+off through a memory-intrinsic check.
-func (c *Ctx) LoadBytes(p uint64, off int64, n uint64) []byte {
+// AppendBytes reads n bytes at p+off through a memory-intrinsic check
+// and appends them to dst. With an error pending, or when the access
+// fails, dst comes back unchanged.
+func (c *Ctx) AppendBytes(dst []byte, p uint64, off int64, n uint64) []byte {
 	if c.err != nil {
-		return nil
+		return dst
 	}
-	b, err := hooks.LoadBytes(c.RT, c.RT.Gep(p, off), n)
+	b, err := hooks.AppendBytes(c.RT, dst, c.RT.Gep(p, off), n)
 	if err != nil {
 		c.Fail(err)
-		return nil
 	}
 	return b
+}
+
+// LoadBytes reads n bytes at p+off through a memory-intrinsic check
+// into a fresh slice.
+func (c *Ctx) LoadBytes(p uint64, off int64, n uint64) []byte {
+	return c.AppendBytes(nil, p, off, n)
 }
 
 // StoreBytes writes b at p+off through a memory-intrinsic check.

@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,9 +130,23 @@ var (
 		"request service time, admission wait included", telemetry.NSBuckets)
 )
 
-var opNames = map[byte]string{
-	wire.OpGet: "get", wire.OpPut: "put", wire.OpDelete: "delete", wire.OpCount: "count",
-	wire.OpScan: "scan",
+// opInfo is what dispatch needs to know about a wire op: its name in
+// traces and its spp_server_requests_total series.
+type opInfo struct {
+	name     string
+	requests *telemetry.Counter
+}
+
+func opNamed(name string) opInfo { return opInfo{name, metRequests.With(name)} }
+
+// ops is resolved once and indexed by the op byte, which the decoder
+// has range-checked.
+var ops = [wire.OpScan + 1]opInfo{
+	wire.OpGet:    opNamed("get"),
+	wire.OpPut:    opNamed("put"),
+	wire.OpDelete: opNamed("delete"),
+	wire.OpCount:  opNamed("count"),
+	wire.OpScan:   opNamed("scan"),
 }
 
 // Server is a running KV service.
@@ -260,6 +275,14 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
+// session is what a connection owns for its lifetime: the reader whose
+// buffer every decoded request aliases, and the frame every reply is
+// built in. Neither outlives a request at more than wire.RetainCap.
+type session struct {
+	rd    *wire.Reader
+	frame []byte
+}
+
 // handle serves one connection: requests execute in order, one at a
 // time, each passing through admission control.
 func (s *Server) handle(conn net.Conn) {
@@ -271,23 +294,8 @@ func (s *Server) handle(conn net.Conn) {
 		metConns.Add(-1)
 		conn.Close()
 	}()
-	for {
-		req, err := wire.ReadRequest(conn)
-		if err != nil {
-			if errors.Is(err, wire.ErrMalformed) {
-				metMalformed.Inc()
-				// Best-effort reject; the stream is unsynchronized, so
-				// close regardless.
-				_ = wire.WriteResponse(conn, wire.Response{
-					Status: wire.StatusError, Payload: []byte(err.Error()),
-				})
-			}
-			return // clean EOF, deadline from Close, or malformed
-		}
-		resp := s.dispatch(req)
-		if err := wire.WriteResponse(conn, resp); err != nil {
-			return
-		}
+	ss := session{rd: wire.NewReader(conn)}
+	for s.serveOne(conn, &ss) {
 		select {
 		case <-s.done:
 			return
@@ -296,26 +304,58 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// serveOne reads one request, runs it and writes its reply, reporting
+// whether the connection can carry another. The request's fields alias
+// the session's read buffer and the reply — value, scan pairs, count or
+// error text — is appended behind the header bytes reserved at the
+// front of the session's frame, so it leaves in one Write with no copy.
+func (s *Server) serveOne(conn net.Conn, ss *session) bool {
+	var hdr [wire.RespHeaderLen]byte
+	frame := append(ss.frame[:0], hdr[:]...)
+	var status byte
+	req, err := ss.rd.ReadRequest()
+	switch {
+	case err == nil:
+		status, frame = s.dispatch(req, frame)
+	case errors.Is(err, wire.ErrMalformed):
+		// Best-effort reject; the stream is unsynchronized, so close
+		// regardless.
+		metMalformed.Inc()
+		status, frame = wire.StatusError, append(frame, err.Error()...)
+	default:
+		return false // clean EOF, or the deadline from Close
+	}
+	werr := wire.WriteResponse(conn, wire.FramedResponse(status, frame))
+	if cap(frame) > wire.RetainCap {
+		frame = nil
+	}
+	ss.frame = frame
+	return err == nil && werr == nil
+}
+
 // dispatch runs one request through admission control and the tenant
-// store. A request sampled for tracing — by the client via the wire
-// context, or by the server's own sampler when the client sent none —
-// materializes a trace.Req and reports queue wait, execution, and (via
-// the transaction it opens) the commit-pipeline stages.
-func (s *Server) dispatch(req wire.Request) wire.Response {
+// store and returns the reply's status and its frame — the one it was
+// given, extended by the payload. A request sampled for tracing — by
+// the client via the wire context, or by the server's own sampler when
+// the client sent none — materializes a trace.Req and reports queue
+// wait, execution, and (via the transaction it opens) the
+// commit-pipeline stages.
+func (s *Server) dispatch(req wire.Request, frame []byte) (byte, []byte) {
 	start := time.Now()
+	op := &ops[req.Op]
 	tc := req.Trace
 	if !tc.Sampled && s.sampler != nil {
 		tc = s.sampler.Next()
 	}
 	var tr *trace.Req
 	if tc.Sampled {
-		tr = trace.Start(tc.ID, opNames[req.Op], req.Tenant)
+		tr = trace.Start(tc.ID, op.name, req.Tenant)
 	}
 	qs := tr.Span(trace.PhaseQueue)
 	if !s.admit() {
 		metShed.Inc()
 		tr.Drop() // never executed; keep it out of the attribution
-		return wire.Response{Status: wire.StatusOverloaded}
+		return wire.StatusOverloaded, frame
 	}
 	qs.End()
 	defer func() {
@@ -323,7 +363,7 @@ func (s *Server) dispatch(req wire.Request) wire.Response {
 		metLatency.Observe(uint64(time.Since(start).Nanoseconds()))
 		tr.Finish()
 	}()
-	metRequests.With(opNames[req.Op]).Inc()
+	op.requests.Inc()
 	es := tr.Span(trace.PhaseExec)
 	defer es.End()
 	if s.cfg.OpCost > 0 {
@@ -332,9 +372,9 @@ func (s *Server) dispatch(req wire.Request) wire.Response {
 	st, err := s.tenantStore(req.Tenant)
 	if err != nil {
 		metOpErrors.Inc()
-		return wire.Response{Status: wire.StatusError, Payload: []byte(err.Error())}
+		return wire.StatusError, append(frame, err.Error()...)
 	}
-	return execute(st, req, tr)
+	return execute(st, req, tr, frame)
 }
 
 // admit implements the bounded window + bounded queue: a free window
@@ -359,56 +399,57 @@ func (s *Server) admit() bool {
 	}
 }
 
-// execute applies one admitted request to a tenant store. Safety traps
-// surface as StatusError with the audit-grade message; the server
-// keeps serving.
-func execute(st *kvstore.Store, req wire.Request, tr *trace.Req) wire.Response {
-	fail := func(err error) wire.Response {
+// execute applies one admitted request to a tenant store, appending the
+// reply's payload to frame. Safety traps surface as StatusError with
+// the audit-grade message; the server keeps serving.
+func execute(st *kvstore.Store, req wire.Request, tr *trace.Req, frame []byte) (byte, []byte) {
+	fail := func(err error) (byte, []byte) {
 		metOpErrors.Inc()
 		if hooks.IsSafetyTrap(err) {
 			err = fmt.Errorf("memory-safety violation: %w", err)
 		}
-		return wire.Response{Status: wire.StatusError, Payload: []byte(err.Error())}
+		return wire.StatusError, append(frame[:wire.RespHeaderLen], err.Error()...)
 	}
 	switch req.Op {
 	case wire.OpGet:
-		v, ok, err := st.Get(req.Key)
+		// The value's one copy out of PM lands behind the frame header.
+		out, ok, err := st.AppendGet(frame, req.Key)
 		if err != nil {
 			return fail(err)
 		}
 		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}
+			return wire.StatusNotFound, frame
 		}
-		return wire.Response{Status: wire.StatusOK, Payload: v}
+		return wire.StatusOK, out
 	case wire.OpPut:
 		if err := st.PutTraced(tr, req.Key, req.Value); err != nil {
 			return fail(err)
 		}
-		return wire.Response{Status: wire.StatusOK}
+		return wire.StatusOK, frame
 	case wire.OpDelete:
 		ok, err := st.DeleteTraced(tr, req.Key)
 		if err != nil {
 			return fail(err)
 		}
 		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}
+			return wire.StatusNotFound, frame
 		}
-		return wire.Response{Status: wire.StatusOK}
+		return wire.StatusOK, frame
 	case wire.OpCount:
 		n, err := st.Count()
 		if err != nil {
 			return fail(err)
 		}
-		return wire.Response{Status: wire.StatusOK, Payload: wire.Count(n)}
+		return wire.StatusOK, wire.AppendCount(frame, n)
 	case wire.OpScan:
 		// The snapshot-backed scan stops at the client's limit or when
 		// the next pair would overflow the response frame (one status
-		// byte shares the payload budget), whichever comes first. The
-		// reply is built in place behind the frame header, in a buffer
-		// sized once from the first pair: rows of a scan are mostly
-		// alike, and append still grows it when they are not.
+		// byte shares the payload budget), whichever comes first. Each
+		// row is valid only inside the callback, which copies it into the
+		// frame. A frame too small is grown once, sized from the first
+		// pair: rows of a scan are mostly alike, and append still grows
+		// it when they are not.
 		const budget = wire.MaxFrame - 1
-		frame := make([]byte, wire.RespHeaderLen)
 		var n uint32
 		err := st.Scan(req.Key, req.Hi, func(k, v []byte) bool {
 			pair := wire.ScanPairSize(len(k), len(v))
@@ -416,7 +457,7 @@ func execute(st *kvstore.Store, req wire.Request, tr *trace.Req) wire.Response {
 				return false
 			}
 			if n == 0 {
-				frame = make([]byte, wire.RespHeaderLen, wire.RespHeaderLen+scanReplyHint(pair, req.Limit, budget))
+				frame = slices.Grow(frame, scanReplyHint(pair, req.Limit, budget))
 			}
 			frame = wire.AppendScanPair(frame, k, v)
 			n++
@@ -425,7 +466,7 @@ func execute(st *kvstore.Store, req wire.Request, tr *trace.Req) wire.Response {
 		if err != nil {
 			return fail(err)
 		}
-		return wire.FramedResponse(wire.StatusOK, frame)
+		return wire.StatusOK, frame
 	}
 	return fail(fmt.Errorf("server: unhandled op %d", req.Op))
 }
@@ -458,7 +499,7 @@ func (s *Server) Close() error {
 		if s.ln != nil {
 			errs = append(errs, s.ln.Close())
 		}
-		// Wake handlers parked in ReadRequest; handlers mid-request
+		// Wake handlers parked in the buffered read; handlers mid-request
 		// finish and write their response first (the deadline only
 		// fires on the next read).
 		now := time.Now()

@@ -264,19 +264,25 @@ func (as *AddressSpace) StoreU64(addr Addr, v uint64) error {
 	return nil
 }
 
-// LoadBytes copies size bytes starting at addr into a fresh slice.
-func (as *AddressSpace) LoadBytes(addr Addr, size uint64) ([]byte, error) {
+// AppendBytes appends the size bytes starting at addr to dst and returns
+// the extended slice; on a fault dst comes back as it was. It is the one
+// copy out of mapped memory: a caller that has room in dst pays no
+// allocation for it.
+func (as *AddressSpace) AppendBytes(dst []byte, addr Addr, size uint64) ([]byte, error) {
 	if size == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	m, err := as.Resolve(addr, size, Load)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	off := addr - m.Base
-	out := make([]byte, size)
-	copy(out, m.Data[off:off+size])
-	return out, nil
+	return append(dst, m.Data[off:off+size]...), nil
+}
+
+// LoadBytes copies size bytes starting at addr into a fresh slice.
+func (as *AddressSpace) LoadBytes(addr Addr, size uint64) ([]byte, error) {
+	return as.AppendBytes(nil, addr, size)
 }
 
 // StoreBytes writes b starting at addr.

@@ -49,6 +49,12 @@
 // StatusOverloaded is distinct from StatusError so clients can tell
 // admission-control shedding (retry later, the request was never
 // executed) from a failed operation.
+//
+// Buffer ownership: a connection decodes through one Reader, whose
+// buffer the decoded Key, Value, Hi and Payload alias until the next
+// read, and builds each reply in place behind RespHeaderLen reserved
+// bytes (FramedResponse), so a frame is copied once on its way in and
+// not at all on its way out. See DESIGN.md §15.
 package wire
 
 import (
@@ -56,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -96,6 +103,14 @@ const (
 
 	reqHeader  = 1 + 1 + 4 // op + tenant length + key length
 	scanExtLen = 4 + 4     // hi length + limit (hi bytes in between)
+
+	// RetainCap is the largest buffer a connection keeps between
+	// requests. One that a near-MaxFrame request or reply grew past it
+	// is dropped once that request is done, so an idle connection pins
+	// at most this much per buffer.
+	RetainCap = 64 << 10
+
+	readerInitial = 4 << 10 // a Reader's first buffer
 )
 
 // Protocol errors. ErrMalformed wraps every framing violation; after
@@ -168,6 +183,7 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	if n > MaxFrame {
 		return dst, ErrFrameTooLarge
 	}
+	dst = slices.Grow(dst, 4+n)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
 	if traced {
 		dst = append(dst, r.Op|OpTraceFlag)
@@ -194,20 +210,114 @@ func AppendRequest(dst []byte, r Request) ([]byte, error) {
 	return dst, nil
 }
 
-// WriteRequest encodes r and writes the frame to w.
-func WriteRequest(w io.Writer, r Request) error {
-	buf, err := AppendRequest(nil, r)
-	if err != nil {
-		return err
+// Reader decodes the frames of one connection out of one buffer it
+// owns. In the steady state — a peer that sends a frame and waits for
+// the reply — a frame costs one Read on the connection and no
+// allocation. What ReadRequest and ReadResponse return aliases the
+// buffer: Key, Value, Hi and Payload are valid until the next read on
+// the same Reader, and whoever keeps one longer copies it.
+type Reader struct {
+	r          io.Reader
+	buf        []byte // buf[start:end] is read but not yet decoded
+	start, end int
+	// exact makes the Reader take no byte past the frame it was asked
+	// for: the one-shot ReadRequest wrapper reads from a stream it does
+	// not own.
+	exact bool
+	// tenant is the last tenant decoded; a connection nearly always
+	// repeats it, and then the string is reused instead of allocated.
+	tenant string
+}
+
+// NewReader returns a Reader decoding from r.
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// Cap is the size of the buffer the Reader holds — what it pins while
+// its connection is idle.
+func (rd *Reader) Cap() int { return len(rd.buf) }
+
+// fill reads until n undecoded bytes are buffered, making room for
+// them first: by moving the undecoded bytes to the front, or in a
+// larger buffer. The caller has checked n against MaxFrame.
+func (rd *Reader) fill(n int) error {
+	have := rd.end - rd.start
+	if have >= n {
+		return nil
 	}
-	_, err = w.Write(buf)
+	if rd.start+n > len(rd.buf) {
+		buf := rd.buf
+		if n > len(buf) {
+			size := n
+			if !rd.exact {
+				size = max(n, 2*len(buf), readerInitial)
+			}
+			buf = make([]byte, size)
+		}
+		copy(buf, rd.buf[rd.start:rd.end])
+		rd.buf, rd.start, rd.end = buf, 0, have
+	}
+	lim := len(rd.buf)
+	if rd.exact {
+		lim = rd.start + n
+	}
+	m, err := io.ReadAtLeast(rd.r, rd.buf[rd.end:lim], n-have)
+	rd.end += m
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
 	return err
 }
 
-// ReadRequest decodes one request frame from r. Errors matching
+// frame returns the payload of the next frame, enforcing MaxFrame
+// before the buffer grows for it. An emptied buffer larger than
+// RetainCap is dropped first — that is, before the connection goes idle
+// in the read.
+func (rd *Reader) frame() ([]byte, error) {
+	if rd.start == rd.end {
+		rd.start, rd.end = 0, 0
+		if len(rd.buf) > RetainCap {
+			rd.buf = nil
+		}
+	}
+	if err := rd.fill(4); err != nil {
+		return nil, err // io.EOF between frames means a clean close
+	}
+	n, err := frameLen(rd.buf[rd.start:])
+	if err != nil {
+		return nil, err
+	}
+	if err := rd.fill(4 + n); err != nil {
+		return nil, truncated(err)
+	}
+	payload := rd.buf[rd.start+4 : rd.start+4+n : rd.start+4+n]
+	rd.start += 4 + n
+	return payload, nil
+}
+
+// frameLen decodes and checks a frame's length prefix.
+func frameLen(prefix []byte) (int, error) {
+	n := binary.BigEndian.Uint32(prefix)
+	if n == 0 {
+		return 0, fmt.Errorf("%w: zero-length frame", ErrMalformed)
+	}
+	if n > MaxFrame {
+		return 0, ErrFrameTooLarge
+	}
+	return int(n), nil
+}
+
+// truncated wraps the error that cut a frame short.
+func truncated(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: truncated frame: %v", ErrMalformed, err)
+}
+
+// ReadRequest decodes the next request frame. Errors matching
 // ErrMalformed mean the stream cannot be resynchronized.
-func ReadRequest(r io.Reader) (Request, error) {
-	payload, err := readFrame(r)
+func (rd *Reader) ReadRequest() (Request, error) {
+	payload, err := rd.frame()
 	if err != nil {
 		return Request{}, err
 	}
@@ -242,14 +352,16 @@ func ReadRequest(r io.Reader) (Request, error) {
 	if tlen == 0 || 2+tlen+4 > len(payload) {
 		return Request{}, fmt.Errorf("%w: tenant length %d in %d-byte payload", ErrMalformed, tlen, len(payload))
 	}
-	tenant := string(payload[2 : 2+tlen])
+	if tenant := payload[2 : 2+tlen]; string(tenant) != rd.tenant {
+		rd.tenant = string(tenant)
+	}
 	rest := payload[2+tlen:]
 	klen := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if klen > len(rest) {
 		return Request{}, fmt.Errorf("%w: key length %d exceeds remaining %d bytes", ErrMalformed, klen, len(rest))
 	}
-	req := Request{Op: op, Tenant: tenant, Key: rest[:klen], Value: rest[klen:], Trace: tc}
+	req := Request{Op: op, Tenant: rd.tenant, Key: rest[:klen:klen], Value: rest[klen:], Trace: tc}
 	if op == OpScan {
 		// The tail is the bound extension, sized exactly: a truncated
 		// hi, a missing limit, or trailing garbage all fold to
@@ -264,7 +376,7 @@ func ReadRequest(r io.Reader) (Request, error) {
 			return Request{}, fmt.Errorf("%w: scan extension %d bytes, want %d for hi length %d", ErrMalformed, len(ext), scanExtLen+hlen, hlen)
 		}
 		if hlen > 0 {
-			req.Hi = ext[4 : 4+hlen]
+			req.Hi = ext[4 : 4+hlen : 4+hlen]
 		}
 		req.Limit = binary.BigEndian.Uint32(ext[4+hlen:])
 		return req, nil
@@ -275,7 +387,27 @@ func ReadRequest(r io.Reader) (Request, error) {
 	return req, nil
 }
 
-// WriteResponse encodes and writes one response frame.
+// ReadResponse decodes the next response frame.
+func (rd *Reader) ReadResponse() (Response, error) {
+	payload, err := rd.frame()
+	if err != nil {
+		return Response{}, err
+	}
+	return Response{Status: payload[0], Payload: payload[1:]}, nil
+}
+
+// ReadRequest decodes one request frame from r through a Reader of its
+// own that takes exactly that frame off r, so what it returns is the
+// caller's to keep. A connection holds a Reader instead.
+func ReadRequest(r io.Reader) (Request, error) {
+	return (&Reader{r: r, exact: true}).ReadRequest()
+}
+
+// WriteResponse writes one response frame in one Write. A
+// FramedResponse goes out from the buffer it was built in — the
+// server's only path. A Response that is a bare status and payload is
+// first copied into a frame of its own: benchmarks/ and the tests hand
+// those over, product code does not.
 func WriteResponse(w io.Writer, resp Response) error {
 	buf := resp.frame
 	if buf == nil {
@@ -295,45 +427,40 @@ func WriteResponse(w io.Writer, resp Response) error {
 	return err
 }
 
-// ReadResponse decodes one response frame from r.
-func ReadResponse(r io.Reader) (Response, error) {
-	payload, err := readFrame(r)
+// ReadOwnedResponse reads one response frame from r for a caller that
+// keeps the payload: the frame header lands in hdr (RespHeaderLen bytes
+// of the caller's), and the payload in a slice allocated for exactly
+// its size — none at all for a reply that is only a status.
+func ReadOwnedResponse(r io.Reader, hdr []byte) (Response, error) {
+	hdr = hdr[:RespHeaderLen]
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return Response{}, err // io.EOF between frames means a clean close
+	}
+	n, err := frameLen(hdr)
 	if err != nil {
 		return Response{}, err
 	}
-	if len(payload) < 1 {
-		return Response{}, fmt.Errorf("%w: empty response payload", ErrMalformed)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return Response{}, truncated(err)
 	}
-	return Response{Status: payload[0], Payload: payload[1:]}, nil
-}
-
-// readFrame reads a length prefix and its payload, enforcing MaxFrame
-// before allocating.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF between frames means a clean close
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, fmt.Errorf("%w: zero-length frame", ErrMalformed)
-	}
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	resp := Response{Status: hdr[4]}
+	if n > 1 {
+		resp.Payload = make([]byte, n-1)
+		if _, err := io.ReadFull(r, resp.Payload); err != nil {
+			return Response{}, truncated(err)
 		}
-		return nil, fmt.Errorf("%w: truncated frame: %v", ErrMalformed, err)
 	}
-	return payload, nil
+	return resp, nil
 }
 
-// Count encodes a COUNT result payload.
-func Count(n uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, n)
+// ReadResponse decodes one response frame from r.
+func ReadResponse(r io.Reader) (Response, error) {
+	return ReadOwnedResponse(r, make([]byte, RespHeaderLen))
+}
+
+// AppendCount encodes a COUNT result onto dst.
+func AppendCount(dst []byte, n uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, n)
 }
 
 // ParseCount decodes a COUNT result payload.
@@ -363,30 +490,47 @@ func AppendScanPair(dst, key, value []byte) []byte {
 	return dst
 }
 
-// ParseScanResult decodes a SCAN response payload into its pairs.
+// scanPair splits the first pair off a SCAN response payload.
+func scanPair(payload []byte) (kv KV, rest []byte, err error) {
+	if len(payload) < 4 {
+		return KV{}, nil, fmt.Errorf("%w: scan result tail %d bytes", ErrMalformed, len(payload))
+	}
+	klen := int(binary.BigEndian.Uint32(payload))
+	payload = payload[4:]
+	if klen > len(payload) {
+		return KV{}, nil, fmt.Errorf("%w: scan result key length %d exceeds remaining %d", ErrMalformed, klen, len(payload))
+	}
+	kv.Key = payload[:klen]
+	payload = payload[klen:]
+	if len(payload) < 4 {
+		return KV{}, nil, fmt.Errorf("%w: scan result missing value length", ErrMalformed)
+	}
+	vlen := int(binary.BigEndian.Uint32(payload))
+	payload = payload[4:]
+	if vlen > len(payload) {
+		return KV{}, nil, fmt.Errorf("%w: scan result value length %d exceeds remaining %d", ErrMalformed, vlen, len(payload))
+	}
+	kv.Value = payload[:vlen]
+	return kv, payload[vlen:], nil
+}
+
+// ParseScanResult decodes a SCAN response payload into its pairs, which
+// alias payload. One pass validates and counts them, so the slice is
+// allocated once at its final size; the second fills it.
 func ParseScanResult(payload []byte) ([]KV, error) {
-	var out []KV
-	for len(payload) > 0 {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("%w: scan result tail %d bytes", ErrMalformed, len(payload))
+	n := 0
+	for rest := payload; len(rest) > 0; n++ {
+		var err error
+		if _, rest, err = scanPair(rest); err != nil {
+			return nil, err
 		}
-		klen := int(binary.BigEndian.Uint32(payload))
-		payload = payload[4:]
-		if klen > len(payload) {
-			return nil, fmt.Errorf("%w: scan result key length %d exceeds remaining %d", ErrMalformed, klen, len(payload))
-		}
-		key := payload[:klen]
-		payload = payload[klen:]
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("%w: scan result missing value length", ErrMalformed)
-		}
-		vlen := int(binary.BigEndian.Uint32(payload))
-		payload = payload[4:]
-		if vlen > len(payload) {
-			return nil, fmt.Errorf("%w: scan result value length %d exceeds remaining %d", ErrMalformed, vlen, len(payload))
-		}
-		out = append(out, KV{Key: key, Value: payload[:vlen]})
-		payload = payload[vlen:]
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]KV, n)
+	for i := range out {
+		out[i], payload, _ = scanPair(payload)
 	}
 	return out, nil
 }

@@ -10,6 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
+// writeRequest appends r's frame to buf.
+func writeRequest(buf *bytes.Buffer, r Request) error {
+	frame, err := AppendRequest(nil, r)
+	buf.Write(frame)
+	return err
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{Op: OpGet, Tenant: "acme", Key: []byte("k1")},
@@ -20,7 +27,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, r := range reqs {
-		if err := WriteRequest(&buf, r); err != nil {
+		if err := writeRequest(&buf, r); err != nil {
 			t.Fatalf("write %+v: %v", r, err)
 		}
 	}
@@ -51,7 +58,7 @@ func TestTracedRequestRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, r := range reqs {
-		if err := WriteRequest(&buf, r); err != nil {
+		if err := writeRequest(&buf, r); err != nil {
 			t.Fatalf("write %+v: %v", r, err)
 		}
 	}
@@ -123,7 +130,7 @@ func TestScanRequestRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, r := range reqs {
-		if err := WriteRequest(&buf, r); err != nil {
+		if err := writeRequest(&buf, r); err != nil {
 			t.Fatalf("write %+v: %v", r, err)
 		}
 	}
@@ -186,7 +193,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusNotFound},
 		{Status: StatusOverloaded},
 		{Status: StatusError, Payload: []byte("boom")},
-		{Status: StatusOK, Payload: Count(42)},
+		{Status: StatusOK, Payload: AppendCount(nil, 42)},
 	}
 	for _, r := range resps {
 		if err := WriteResponse(&buf, r); err != nil {
@@ -202,7 +209,7 @@ func TestResponseRoundTrip(t *testing.T) {
 			t.Errorf("round trip %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	n, err := ParseCount(Count(42))
+	n, err := ParseCount(AppendCount(nil, 42))
 	if err != nil || n != 42 {
 		t.Errorf("ParseCount = %d, %v", n, err)
 	}

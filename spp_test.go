@@ -2,6 +2,7 @@ package spp
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -264,5 +265,47 @@ func TestFilePersistence(t *testing.T) {
 	}
 	if err := pool2.StoreU8(pool2.Gep(p2, 48), 1); !errors.Is(err, ErrDetected) {
 		t.Errorf("bounds not enforced after reload: %v", err)
+	}
+}
+
+// TestStoreScanRowsAreKept: the engine lends a scan row only until the
+// callback returns; the public Store and Snap hand out copies, so rows a
+// caller keeps are intact after the scan — indexed (the second scan) or
+// not (the first, and the pre-activation snapshot).
+func TestStoreScanRowsAreKept(t *testing.T) {
+	pool, err := Open(Options{PoolSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := pool.OpenStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := store.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("value-%d", i*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	early := store.Snapshot()
+	defer early.Release()
+	for name, scan := range map[string]func(lo, hi []byte, fn func(k, v []byte) bool) error{
+		"first scan": store.Scan, "indexed scan": store.Scan, "early snapshot": early.Scan,
+	} {
+		var keys, vals [][]byte
+		if err := scan(nil, nil, func(k, v []byte) bool {
+			keys, vals = append(keys, k), append(vals, v)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != n {
+			t.Fatalf("%s: %d rows, want %d", name, len(keys), n)
+		}
+		for i := range keys {
+			if string(keys[i]) != fmt.Sprintf("key-%04d", i) || string(vals[i]) != fmt.Sprintf("value-%d", i*i) {
+				t.Fatalf("%s: kept row %d reads %q = %q after the scan returned", name, i, keys[i], vals[i])
+			}
+		}
 	}
 }

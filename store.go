@@ -77,7 +77,17 @@ func (s *Store) Count() (uint64, error) {
 // to keep. A pool running -no-mvcc has no index and pays O(keys) per
 // scan.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	return wrap(s.kv.Scan(lo, hi, fn))
+	return wrap(s.kv.Scan(lo, hi, ownedRows(fn)))
+}
+
+// ownedRows adapts fn to the engine's scan contract — a row is valid
+// only until the callback returns — by handing it a copy of each row,
+// key and value in one allocation.
+func ownedRows(fn func(key, value []byte) bool) func(key, value []byte) bool {
+	return func(k, v []byte) bool {
+		row := append(append(make([]byte, 0, len(k)+len(v)), k...), v...)
+		return fn(row[:len(k):len(k)], row[len(k):])
+	}
 }
 
 // Snap is a pinned, immutable view of the store at one moment: Get,
@@ -116,7 +126,7 @@ func (s *Snap) Count() (uint64, error) {
 // scans in O(log keys + rows visited); one taken before it walks the
 // whole view, O(keys) per scan.
 func (s *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	return wrap(s.sn.Scan(lo, hi, fn))
+	return wrap(s.sn.Scan(lo, hi, ownedRows(fn)))
 }
 
 // Release unpins the snapshot, letting the versions it held be
