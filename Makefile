@@ -136,13 +136,19 @@ trace-smoke:
 ## telemetry counts, the reply framing), the hash layout (bucket
 ## occupancy, a version-0 image migrating at open under every variant,
 ## the migration crashed at every fence, the probe/rehash series, the
-## SafePM preload and the allocator regression behind it), ten seconds
+## SafePM preload and the allocator regression behind it), the
+## one-transaction put path (head versions under a held snapshot, a
+## writer storm and the stamp-after-store schedule; a write that folds a
+## reclaim crashed at every fence under every variant; the per-variant
+## hook counts of an overwrite and a delete; the allocation budget and
+## its independence of the bucket count; the spp_mvcc_* series; a stale
+## transaction handle on a reused lane), ten seconds
 ## of the scan fuzz target, plus a tiny run of the scan experiment
 ## asserting the snapshot reader keeps a non-zero read rate under the
 ## write storm.
 mvcc-smoke:
-	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel|TestPlacement|TestLegacyImage|TestMigrationCrash|TestNewerPlacement|TestLayoutTelemetry|TestSafePMPreload' ./internal/kvstore ./internal/server ./internal/wire -count=1
-	$(GO) test -run 'TestRedoExtensionBeforeLastFreeRun|TestPlannedFreeLeavesLargeRunAllocatable' ./internal/pmemobj -count=1
+	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel|TestPlacement|TestLegacyImage|TestMigrationCrash|TestNewerPlacement|TestLayoutTelemetry|TestSafePMPreload|TestHeadVersion|TestHeadEpoch|TestFoldedReclaim|TestWriteHookCounts|TestPutAllocBudget|TestMVCCTelemetry' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestRedoExtensionBeforeLastFreeRun|TestPlannedFreeLeavesLargeRunAllocatable|TestStaleTxHandle' ./internal/pmemobj -count=1
 	$(GO) test -run='^$$' -fuzz=FuzzKVScanModel -fuzztime=10s ./internal/kvstore
 	@out="$$($(GO) run ./cmd/sppbench -exp scan -scale 0.002)"; \
 	echo "$$out"; \

@@ -165,6 +165,14 @@ func scanBenchKey(buf []byte, i int) []byte {
 // prot.
 func kvBenchStore(b *testing.B, prot Protection, valueSize int) *Store {
 	b.Helper()
+	_, st := kvBenchPoolStore(b, prot, valueSize)
+	return st
+}
+
+// kvBenchPoolStore is kvBenchStore for a caller that needs the pool
+// under the store too.
+func kvBenchPoolStore(b *testing.B, prot Protection, valueSize int) (*Pool, *Store) {
+	b.Helper()
 	pool, err := Open(Options{PoolSize: 256 << 20, Protection: prot})
 	if err != nil {
 		b.Fatal(err)
@@ -179,7 +187,7 @@ func kvBenchStore(b *testing.B, prot Protection, valueSize int) *Store {
 			b.Fatal(err)
 		}
 	}
-	return st
+	return pool, st
 }
 
 // scanBenchStore preloads the scan population. With activate set it
@@ -296,10 +304,17 @@ func BenchmarkKVGet(b *testing.B) {
 	}
 }
 
+// BenchmarkKVPutOverwrite times an overwrite per variant and, as
+// `tracked`, under SPP on a device that tracks persistence — the only
+// mode in which Flush and Fence do work, and the shape of the ledger's
+// durable_write.
 func BenchmarkKVPutOverwrite(b *testing.B) {
-	for _, prot := range kvBenchVariants {
-		b.Run(string(prot), func(b *testing.B) {
-			st := kvBenchStore(b, prot, kvBenchValue)
+	run := func(name string, prot Protection, tracked bool) {
+		b.Run(name, func(b *testing.B) {
+			pool, st := kvBenchPoolStore(b, prot, kvBenchValue)
+			if tracked {
+				pool.env.Dev.EnableTracking(nil)
+			}
 			rng := rand.New(rand.NewSource(1))
 			kbuf, value := make([]byte, 0, 16), make([]byte, kvBenchValue)
 			b.ReportAllocs()
@@ -311,4 +326,8 @@ func BenchmarkKVPutOverwrite(b *testing.B) {
 			}
 		})
 	}
+	for _, prot := range kvBenchVariants {
+		run(string(prot), prot, false)
+	}
+	run("tracked", ProtectionSPP, true)
 }

@@ -3,11 +3,11 @@
 // A rootIndex has two halves. The tree is a persistent treap over the
 // shard's keys: every update copies the nodes on the path it touches
 // and shares the rest with the tree it derived from. A node does not
-// name its entry; it names a slot, and the slot tables — one per head
-// page, holding the entries of that page's 64 chains — say which entry
-// fills it. A key keeps its slot for as long as it lives, so the writes
-// that only move entries (an overwrite, and the copy-on-write of the
-// chain prefix in front of it) replace one slot table and leave the
+// name its entry; it names a slot, and the slot tables — one per page
+// of 64 buckets, holding the entries of that page's chains — say which
+// entry fills it. A key keeps its slot for as long as it lives, so the
+// writes that only move entries (an overwrite, and the copy-on-write of
+// the chain prefix in front of it) replace one slot table and leave the
 // tree alone; only an insert or a delete copies a tree path. Both
 // halves are immutable once their root is published, so a root keeps
 // the exact index it was published with for as long as a snapshot pins
@@ -29,11 +29,22 @@ import (
 	"repro/internal/pmemobj"
 )
 
+// ixPageBits groups a shard's buckets into the pages the slot tables
+// are kept by: a write copies the table of one page, 64 chains' worth
+// of slots, whatever the bucket count.
+const (
+	ixPageBits = 6
+	ixPageSize = 1 << ixPageBits
+)
+
+// ixPage returns the page of bucket b.
+func ixPage(b uint64) uint32 { return uint32(b >> ixPageBits) }
+
 // rootIndex is the ordered index of one shardRoot: the tree orders the
 // keys, the slot tables bind each key's slot to its entry.
 type rootIndex struct {
 	tree  *ixNode
-	slots [][]pmemobj.Oid // by head page, then slot; a null oid is a free slot
+	slots [][]pmemobj.Oid // by bucket page, then slot; a null oid is a free slot
 }
 
 // ixRef addresses one slot.
@@ -68,7 +79,7 @@ func slotOf(tbl []pmemobj.Oid, entry pmemobj.Oid) int {
 }
 
 // apply returns the index of the root that follows ix's by one
-// committed mutation of a chain on head page page: key's entry match
+// committed mutation of a chain on bucket page page: key's entry match
 // (null: key is new) gave way to fresh (null: key is deleted), and
 // each prefix[i] the copy-on-write re-allocated gave way to copies[i].
 // The prefix rule is not optional: the superseded entries are on the
@@ -111,14 +122,15 @@ type ixBuilder struct {
 func newIxBuilder(root *shardRoot) *ixBuilder {
 	return &ixBuilder{
 		nodes: make([]ixNode, 0, root.count),
-		slots: make([][]pmemobj.Oid, len(root.pages)),
+		slots: make([][]pmemobj.Oid, (root.nbuckets+ixPageSize-1)>>ixPageBits),
 	}
 }
 
 // add records that entry, on the chain of bucket, holds key. The
-// builder keeps key.
+// caller owns key; the builder keeps a copy.
 func (b *ixBuilder) add(bucket uint64, key []byte, entry pmemobj.Oid) {
-	page := uint32(bucket >> headPageBits)
+	page := ixPage(bucket)
+	key = append([]byte(nil), key...)
 	ref := ixRef{page, uint32(len(b.slots[page]))}
 	b.slots[page] = append(b.slots[page], entry)
 	b.nodes = append(b.nodes, ixNode{key: key, prio: ixPrio(key), ref: ref})

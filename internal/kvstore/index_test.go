@@ -168,9 +168,9 @@ func TestIndexTreap(t *testing.T) {
 	// A fresh build over the same keys, added in any order, has the
 	// same shape, and resolves every key to the entry added with it.
 	rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
-	ixb := newIxBuilder(newShardRoot(2*headPageSize, uint64(len(got))))
+	ixb := newIxBuilder(newShardRoot(2*ixPageSize, uint64(len(got))))
 	for i, n := range got {
-		ixb.add(uint64(i%(2*headPageSize)), n.key, pmemobj.Oid{Off: uint64(n.ref.slot) + 1})
+		ixb.add(uint64(i%(2*ixPageSize)), n.key, pmemobj.Oid{Off: uint64(n.ref.slot) + 1})
 	}
 	built := ixb.index()
 	var same func(a, b *ixNode) bool
@@ -502,7 +502,7 @@ func TestScanFaultVerdictsMatchLocked(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, entry, _ = s.findChain(c, root, s.bucketOf(hashKey(victim), root.nbuckets), victim)
+				_, entry, _ = s.findChain(c, sh, root, s.bucketOf(hashKey(victim), root.nbuckets), victim)
 				if entry.IsNull() {
 					t.Fatal("victim entry not found")
 				}

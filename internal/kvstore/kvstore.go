@@ -27,6 +27,7 @@ import (
 	"repro/internal/hooks"
 	"repro/internal/pmaccess"
 	"repro/internal/pmemobj"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -67,6 +68,13 @@ type shard struct {
 	// the last node of the persistent chain. Both guarded by mu.
 	retired    []retireBatch
 	retireTail pmemobj.Oid
+	// Writer scratch, reused under mu so a steady-state write allocates
+	// none of it: the entries findChain walks (which a write then
+	// retires), the retire nodes of one transaction, and the bytes of
+	// the entry copyEntry is moving.
+	chain   []pmemobj.Oid
+	nodes   []pmemobj.Oid
+	scratch []byte
 }
 
 // Shard header fields: {count u64, nbuckets u64, buckets oid,
@@ -191,6 +199,9 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 				return nil, err
 			}
 			s.shards[i].root.Store(r)
+		}
+		if telemetry.On() {
+			s.registerTelemetry()
 		}
 	}
 	return s, nil
@@ -379,14 +390,16 @@ func (s *Store) Put(key, value []byte) error { return s.PutTraced(nil, key, valu
 // phase. Nil tr is Put.
 func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
 	if s.mvcc {
-		return s.putMVCC(tr, key, value)
+		_, err := s.writeMVCC(tr, key, value, false)
+		return err
 	}
 	h := hashKey(key)
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	c := newCtx(s.rt)
+	acc := s.proto
+	c := &acc
 	c.Trace = tr
 	err := c.Run(func(tx *pmemobj.Tx) {
 		hp := c.Direct(sh.hdr)
@@ -470,7 +483,8 @@ func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
 // exceeds one (NoMVCC path). Caller holds the shard lock. The work
 // attributes to the triggering request's maint phase.
 func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
-	c := newCtx(s.rt)
+	acc := s.proto
+	c := &acc
 	c.Trace = tr
 	hp := c.Direct(sh.hdr)
 	count := c.Load(hp, shCount)
@@ -546,14 +560,15 @@ func (s *Store) Delete(key []byte) (bool, error) { return s.DeleteTraced(nil, ke
 // traced request. Nil tr is Delete.
 func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (bool, error) {
 	if s.mvcc {
-		return s.deleteMVCC(tr, key)
+		return s.writeMVCC(tr, key, nil, true)
 	}
 	h := hashKey(key)
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	c := newCtx(s.rt)
+	acc := s.proto
+	c := &acc
 	c.Trace = tr
 	removed := false
 	err := c.Run(func(tx *pmemobj.Tx) {

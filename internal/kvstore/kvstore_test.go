@@ -336,10 +336,3 @@ func TestCrashConsistencyUnderPmemcheck(t *testing.T) {
 	}
 	t.Logf("%d crash states consistent", states)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -36,3 +36,41 @@ func observeRehash(start time.Time) {
 	metRehashes.Inc()
 	metRehashNS.Observe(uint64(time.Since(start)))
 }
+
+// MVCC telemetry. A snapshot that is never released shows in all four:
+// the pin lag and the pending retire nodes grow with every write, reads
+// through the old roots skip more head versions, and folded reclaims
+// stop while writes continue.
+var (
+	metHeadVersionsWalked = telemetry.Default.HistogramBuckets("spp_mvcc_head_versions_walked",
+		"head versions newer than its root a bucket lookup skipped; above 1 means a pinned old root",
+		[]uint64{0, 1, 2, 4, 8, 16, 64})
+	metReclaims = telemetry.Default.CounterVec("spp_mvcc_reclaims_total",
+		"retire nodes freed, by how: folded into a writer's transaction, or standalone in one of their own (backlog, Reclaim)", "how")
+	metReclaimsFolded     = metReclaims.With("folded")
+	metReclaimsStandalone = metReclaims.With("standalone")
+)
+
+// registerTelemetry publishes this store's MVCC state gauges. GaugeFunc
+// replaces on re-registration, so they describe the most recently
+// opened MVCC store of a telemetry-enabled process.
+func (s *Store) registerTelemetry() {
+	reg := telemetry.Default
+	reg.GaugeFunc("spp_mvcc_retire_nodes_pending", "retire nodes queued for reclamation across the store's shards", func() int64 {
+		var n int64
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.RLock()
+			n += int64(len(sh.retired))
+			sh.mu.RUnlock()
+		}
+		return n
+	})
+	reg.GaugeFunc("spp_mvcc_pin_lag_epochs", "epochs between the oldest pinned snapshot and the current epoch; 0 with no pin", func() int64 {
+		min := s.minPin.Load()
+		if min == ^uint64(0) {
+			return 0
+		}
+		return int64(s.epoch.Load() - min)
+	})
+}

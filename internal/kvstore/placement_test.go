@@ -162,7 +162,7 @@ func legacyPut(t testing.TB, s *Store, key, value []byte) {
 		hp := c.Direct(sh.hdr)
 		b := h % c.Load(hp, shNBuckets)
 		head := c.LoadOid(c.Direct(c.LoadOid(hp, shBuckets)), int64(b)*s.oidSize)
-		s.persistPublish(c, tx, sh, b, s.newEntry(c, tx, key, value, head), 1, nil)
+		s.persistPublish(c, tx, sh, b, s.newEntry(c, tx, key, value, head), 1, nil, false)
 	}); err != nil {
 		t.Fatal(err)
 	}

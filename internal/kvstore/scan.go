@@ -48,7 +48,7 @@ func (s *Store) collectRange(c *ctx, root *shardRoot, lo, hi []byte, eager bool)
 		if !inRange(key, lo, hi) {
 			return
 		}
-		it := scanItem{key: key, entry: entry}
+		it := scanItem{key: append([]byte(nil), key...), entry: entry}
 		if eager {
 			vlen := c.Load(ep, enVLen)
 			it.val = c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen)

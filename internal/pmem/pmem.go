@@ -26,10 +26,11 @@
 package pmem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -524,7 +525,7 @@ func (a *FlushAccum) Drain() {
 		a.requests = 0
 		return
 	}
-	sort.Slice(a.lines, func(i, j int) bool { return a.lines[i].off < a.lines[j].off })
+	slices.SortFunc(a.lines, func(x, y flushRange) int { return cmp.Compare(x.off, y.off) })
 	issued := 0
 	cur := a.lines[0]
 	for _, r := range a.lines[1:] {

@@ -160,7 +160,7 @@ func (p *Pool) discardRedo(lane uint64) {
 func (p *Pool) writeUndoEntry(dataBase, usedField, used, off, length uint64) {
 	base := dataBase + used
 	p.dev.WriteU64s(base, []uint64{off, length})
-	p.dev.WriteBytes(base+16, p.dev.ReadBytes(off, length))
+	p.dev.WriteBytes(base+16, p.dev.Data()[off:off+length]) // device to device: no staging copy
 	p.dev.Flush(base, 16+align8(length))
 	p.fence()
 	p.dev.WriteU64(usedField, used+16+align8(length))

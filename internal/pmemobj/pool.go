@@ -111,6 +111,8 @@ type Pool struct {
 
 	heap  heap
 	lanes *laneQueue
+	// txScratch[l] is the working set of the transaction holding lane l.
+	txScratch []txScratch
 
 	rootMu sync.Mutex
 }
@@ -270,6 +272,7 @@ func open(dev *pmem.Pool, as *vmem.AddressSpace, base uint64, cfg Config) (*Pool
 	p.nArenas = len(p.heap.arenas) // after clamping to the heap size
 
 	p.lanes = newLaneQueue(p.nLanes, p.laneAffinity)
+	p.txScratch = make([]txScratch, p.nLanes)
 
 	if cfg.Telemetry {
 		p.registerTelemetry()

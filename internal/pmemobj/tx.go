@@ -17,6 +17,46 @@ type txRange struct {
 	off, size uint64
 }
 
+// mergedFree is one deferred free as Commit planned it: the block, its
+// size, and the size it has once merged with its free successor.
+type mergedFree struct {
+	blk, size, merged uint64
+}
+
+// txScratch is the working set of the transaction that holds a lane:
+// what it reserved, freed, snapshotted and extended its log with, and
+// the redo entries and free plans its commit builds. One lives with
+// every lane, which a transaction holds exclusively from Begin to
+// Commit or Abort, so a transaction borrows the slices empty and hands
+// them back truncated, and a steady-state transaction allocates none of
+// them.
+type txScratch struct {
+	allocs    []reservation // blocks reserved (uncommitted) by the tx
+	frees     []uint64      // block offsets to release at commit
+	ranges    []txRange     // snapshotted ranges, flushed at commit
+	exts      []reservation // undo-log extension blocks
+	entries   []redoEntry
+	freePlans []mergedFree
+}
+
+// txScratchRetain is the capacity, in elements, above which a scratch
+// slice is dropped rather than kept for the lane's next transaction: a
+// rehash that moved a whole shard must not pin its working set forever.
+const txScratchRetain = 1024
+
+func (sc *txScratch) reset() {
+	sc.allocs, sc.frees = retain(sc.allocs), retain(sc.frees)
+	sc.ranges, sc.exts = retain(sc.ranges), retain(sc.exts)
+	sc.entries, sc.freePlans = retain(sc.entries), retain(sc.freePlans)
+}
+
+func retain[T any](s []T) []T {
+	if cap(s) > txScratchRetain {
+		return nil
+	}
+	return s[:0]
+}
+
 // Tx is an open software transaction, PMDK's TX_BEGIN block. A Tx is
 // bound to one lane and must be used from a single goroutine; it must
 // end in exactly one Commit or Abort.
@@ -26,16 +66,18 @@ type txRange struct {
 // range back and releases every block the transaction reserved; after
 // it, recovery completes the deferred frees and allocation state flips
 // from the prepared redo log.
+//
+// The handle is a fresh object per transaction even though its working
+// set is the lane's: a handle kept past Commit or Abort answers
+// ErrTxDone, where a recycled one would alias whichever transaction
+// holds the lane next.
 type Tx struct {
-	p       *Pool
-	lane    int
-	laneOff uint64
-	undoOff uint64
-	allocs  []reservation // blocks reserved (uncommitted) by this tx
-	frees   []uint64      // block offsets to release at commit
-	ranges  []txRange     // snapshotted ranges, flushed at commit
-	exts    []reservation // undo-log extension blocks
-	done    bool
+	p          *Pool
+	lane       int
+	laneOff    uint64
+	undoOff    uint64
+	*txScratch // the lane's, until end; nil afterwards
+	done       bool
 
 	// undoBytes is the payload total snapshotted so far, for the
 	// per-transaction telemetry histogram.
@@ -72,6 +114,7 @@ func (p *Pool) BeginTraced(tr *trace.Req) *Tx {
 	span.End()
 	return &Tx{
 		p: p, lane: lane, laneOff: p.laneOff(lane), undoOff: undo, tr: tr,
+		txScratch:    &p.txScratch[lane],
 		segData:      undo + undoDataOff,
 		segCap:       p.undoCap,
 		segUsedField: undo + undoUsedOff,
@@ -229,7 +272,7 @@ func (tx *Tx) releaseExts() {
 	for _, r := range tx.exts {
 		tx.p.heap.releaseBlock(tx.p, r)
 	}
-	tx.exts = nil
+	tx.exts = tx.exts[:0]
 }
 
 // AddRangeAddr is AddRange for a cleaned virtual address.
@@ -337,7 +380,7 @@ func (tx *Tx) Commit() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	defer func() { tx.p.lanes.release(tx.lane) }()
+	defer tx.end()
 	p := tx.p
 
 	// 1. Make all stores into snapshotted ranges — and into objects
@@ -379,9 +422,6 @@ func (tx *Tx) Commit() error {
 	// atomically and aborts. Every block the redo will touch is in the
 	// reserved sets: the tx allocs never left them, and planFree enters
 	// each freed span.
-	type mergedFree struct {
-		blk, size, merged uint64
-	}
 	redoExts, err := p.reserveRedoExts(len(tx.allocs) + 2*len(tx.frees))
 	if err != nil {
 		if err2 := tx.rollback(); err2 != nil {
@@ -389,19 +429,17 @@ func (tx *Tx) Commit() error {
 		}
 		return err
 	}
-	var entries []redoEntry
-	var freePlans []mergedFree
 	for _, r := range tx.allocs {
-		entries = append(entries, redoEntry{r.blk + 8, blockAllocated})
+		tx.entries = append(tx.entries, redoEntry{r.blk + 8, blockAllocated})
 	}
 	for _, blk := range tx.frees {
 		size := p.dev.ReadU64(blk)
 		merged := p.heap.planFree(p, blk, size)
-		entries = append(entries, redoEntry{blk, merged}, redoEntry{blk + 8, blockFree})
-		freePlans = append(freePlans, mergedFree{blk, size, merged})
+		tx.entries = append(tx.entries, redoEntry{blk, merged}, redoEntry{blk + 8, blockFree})
+		tx.freePlans = append(tx.freePlans, mergedFree{blk, size, merged})
 	}
-	if len(entries) > 0 {
-		p.prepareRedo(tx.laneOff, entries, redoExts)
+	if len(tx.entries) > 0 {
+		p.prepareRedo(tx.laneOff, tx.entries, redoExts)
 	}
 
 	// 3. Commit point: invalidate the undo log. The state flip and the
@@ -415,7 +453,7 @@ func (tx *Tx) Commit() error {
 	p.persist(tx.undoOff+undoUsedOff, 8)
 
 	// 4. Complete the heap updates.
-	if len(entries) > 0 {
+	if len(tx.entries) > 0 {
 		p.applyRedo(tx.laneOff)
 		p.releaseRedoExts(redoExts)
 	}
@@ -431,12 +469,12 @@ func (tx *Tx) Commit() error {
 	}
 	metAllocs.Add(uint64(len(tx.allocs)))
 	metAllocBytes.Add(allocBytes)
-	for _, f := range freePlans {
+	for _, f := range tx.freePlans {
 		p.heap.finishFree(f.blk, f.merged)
 		subUsed(&p.heap.usedBytes, f.size)
 		subUsed(&p.heap.usedBlocks, 1)
 	}
-	metFrees.Add(uint64(len(freePlans)))
+	metFrees.Add(uint64(len(tx.freePlans)))
 	tx.releaseExts()
 	metTxCommit.Inc()
 	metUndoBytes.Observe(tx.undoBytes)
@@ -456,10 +494,18 @@ func (tx *Tx) Abort() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	defer func() { tx.p.lanes.release(tx.lane) }()
+	defer tx.end()
 	metTxAbort.Inc()
 	telemetry.Flight.Record(telemetry.EvTxAbort, uint64(tx.lane), 0)
 	return tx.rollback()
+}
+
+// end hands back what a finished transaction borrowed: the lane's
+// scratch, emptied and cut off from the handle, then the lane.
+func (tx *Tx) end() {
+	tx.txScratch.reset()
+	tx.txScratch = nil
+	tx.p.lanes.release(tx.lane)
 }
 
 func (tx *Tx) rollback() error {
@@ -472,6 +518,6 @@ func (tx *Tx) rollback() error {
 	for _, r := range tx.allocs {
 		p.heap.releaseBlock(p, r)
 	}
-	tx.allocs = nil
+	tx.allocs = tx.allocs[:0]
 	return nil
 }

@@ -89,6 +89,74 @@ func TestTxDoneErrors(t *testing.T) {
 	}
 }
 
+// TestStaleTxHandleAfterLaneReuse: a transaction's working set is the
+// lane's and is handed to the lane's next transaction, but the handle
+// is not. A handle kept past Commit still answers ErrTxDone while a
+// second transaction is open on the same lane, touches none of its
+// state, and the second transaction starts empty and commits what it
+// did — no more, no less.
+func TestStaleTxHandleAfterLaneReuse(t *testing.T) {
+	p, _ := newTestPool(t, Config{})
+	root, _ := p.Root(64)
+	stale := p.Begin()
+	kept, err := stale.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.AddRange(root.Off, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	live := p.Begin()
+	if live.lane != stale.lane {
+		t.Skipf("second transaction took lane %d, not lane %d again", live.lane, stale.lane)
+	}
+	if n := len(live.allocs) + len(live.frees) + len(live.ranges) + len(live.exts) + len(live.entries) + len(live.freePlans); n != 0 {
+		t.Fatalf("a fresh transaction starts with %d scratch elements of the lane's last one", n)
+	}
+	fresh, err := live.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Free(kept); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.Alloc(8); !errors.Is(err, ErrTxDone) {
+		t.Errorf("stale Alloc = %v, want ErrTxDone", err)
+	}
+	if err := stale.Free(fresh); !errors.Is(err, ErrTxDone) {
+		t.Errorf("stale Free = %v, want ErrTxDone", err)
+	}
+	if err := stale.AddRange(root.Off, 8); !errors.Is(err, ErrTxDone) {
+		t.Errorf("stale AddRange = %v, want ErrTxDone", err)
+	}
+	if err := stale.Abort(); !errors.Is(err, ErrTxDone) {
+		t.Errorf("stale Abort = %v, want ErrTxDone", err)
+	}
+	if err := stale.Commit(); !errors.Is(err, ErrTxDone) {
+		t.Errorf("stale Commit = %v, want ErrTxDone", err)
+	}
+	if len(live.allocs) != 1 || len(live.frees) != 1 {
+		t.Fatalf("the stale handle moved the live transaction: %d allocs, %d frees; want 1, 1", len(live.allocs), len(live.frees))
+	}
+	before := p.Stats().AllocatedObjects
+	if err := live.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().AllocatedObjects; got != before {
+		t.Errorf("one alloc and one free committed: %d objects, were %d", got, before)
+	}
+	if _, err := p.validateOid(fresh); err != nil {
+		t.Errorf("the live transaction's allocation is gone: %v", err)
+	}
+	if err := live.Commit(); !errors.Is(err, ErrTxDone) {
+		t.Errorf("second Commit = %v, want ErrTxDone", err)
+	}
+}
+
 func TestTxAddRangeValidation(t *testing.T) {
 	p, _ := newTestPool(t, Config{})
 	tx := p.Begin()
