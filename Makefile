@@ -102,14 +102,16 @@ compile-smoke:
 ## (steady-state ReadRequest = 0, AppendGet with room = 0, a loopback
 ## Get <= 2), one read and one write per request, no stale bytes across
 ## requests, the 64 KiB retention cap, caller-owned client results and
-## kvstore copying the keys it keeps; ten seconds of the wire stream
+## kvstore copying the keys it keeps, and a loopback 32-row scan <= 3
+## allocations over a kvstore scan that allocates none
+## (TestScanAllocBudget); ten seconds of the wire stream
 ## fuzz target; plus a tiny closed-loop run of the serve experiment end
 ## to end. The staged wire.* rows of benchmarks/ compile against the
 ## wire package's one-line compatibility wrappers: bench-module, which
 ## `check` runs, is their compile gate.
 serve-smoke:
 	$(GO) test ./internal/server ./internal/wire ./client -count=1
-	$(GO) test -run 'TestAppendGetAllocs|TestPutCopiesCallerBuffers|TestSnapshotFaultVerdictsMatchLocked' ./internal/kvstore -count=1
+	$(GO) test -run 'TestAppendGetAllocs|TestPutCopiesCallerBuffers|TestSnapshotFaultVerdictsMatchLocked|TestScanAllocBudget|TestSnapshotUseAfterRelease' ./internal/kvstore -count=1
 	$(GO) test -run 'TestStoreScanRowsAreKept' . -count=1
 	$(GO) test -run='^$$' -fuzz=FuzzWireStream -fuzztime=10s ./internal/wire
 	$(GO) run ./cmd/sppbench -exp serve -scale 0.002
@@ -142,12 +144,17 @@ trace-smoke:
 ## reclaim crashed at every fence under every variant; the per-variant
 ## hook counts of an overwrite and a delete; the allocation budget and
 ## its independence of the bucket count; the spp_mvcc_* series; a stale
-## transaction handle on a reused lane), ten seconds
+## transaction handle on a reused lane), the scan workspace (a scan
+## allocates nothing at 64 shards or one, a loopback scan <= 3 times; a
+## parked workspace holds capacity only and no row buffer past 64 KiB;
+## nested scans and eight scanners against two writers; a released
+## snapshot refused in both read modes; the point-operation counters),
+## ten seconds
 ## of the scan fuzz target, plus a tiny run of the scan experiment
 ## asserting the snapshot reader keeps a non-zero read rate under the
 ## write storm.
 mvcc-smoke:
-	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel|TestPlacement|TestLegacyImage|TestMigrationCrash|TestNewerPlacement|TestLayoutTelemetry|TestSafePMPreload|TestHeadVersion|TestHeadEpoch|TestFoldedReclaim|TestWriteHookCounts|TestPutAllocBudget|TestMVCCTelemetry' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestIndex|TestFramedResponse|FuzzKVScanModel|TestPlacement|TestLegacyImage|TestMigrationCrash|TestNewerPlacement|TestLayoutTelemetry|TestSafePMPreload|TestHeadVersion|TestHeadEpoch|TestFoldedReclaim|TestWriteHookCounts|TestPutAllocBudget|TestMVCCTelemetry|TestScanAllocBudget|TestLoopbackScanAllocs|TestPointOpTelemetry' ./internal/kvstore ./internal/server ./internal/wire -count=1
 	$(GO) test -run 'TestRedoExtensionBeforeLastFreeRun|TestPlannedFreeLeavesLargeRunAllocatable|TestStaleTxHandle' ./internal/pmemobj -count=1
 	$(GO) test -run='^$$' -fuzz=FuzzKVScanModel -fuzztime=10s ./internal/kvstore
 	@out="$$($(GO) run ./cmd/sppbench -exp scan -scale 0.002)"; \

@@ -48,18 +48,23 @@ func overwriteCost(t *testing.T, shards uint64, keys int, tracked bool) (allocs,
 	for n := 0; n < 4*keys/10; n++ {
 		put()
 	}
-	const runs = 2000
-	allocs = testing.AllocsPerRun(runs, put)
-	// The quietest of a few rounds: a slice the allocator doubles once
-	// in a while is not what a put costs.
+	return heapCost(2000, put)
+}
+
+// heapCost reports what one call of op costs the Go heap, over runs
+// calls: allocations (testing.AllocsPerRun) and bytes — the quietest of
+// a few rounds: a slice the allocator doubles once in a while is not
+// what an operation costs.
+func heapCost(runs int, op func()) (allocs, bytes float64) {
+	allocs = testing.AllocsPerRun(runs, op)
 	for round := 0; round < 5; round++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for n := 0; n < runs; n++ {
-			put()
+			op()
 		}
 		runtime.ReadMemStats(&after)
-		if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; round == 0 || b < bytes {
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs); round == 0 || b < bytes {
 			bytes = b
 		}
 	}

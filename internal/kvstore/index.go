@@ -241,7 +241,8 @@ func ixMerge(a, b *ixNode) *ixNode {
 
 // ixIter visits a tree in ascending key order. The stack holds the
 // nodes still to visit whose left subtrees are done, nearest last, so
-// the top is the current node.
+// the top is the current node. A scan workspace keeps one per shard
+// and reuses it, empty, at whatever capacity its deepest seek grew.
 type ixIter struct {
 	stack []*ixNode
 }

@@ -54,6 +54,8 @@ type Store struct {
 	// indexed is set once every shard root carries its ordered index
 	// (activateIndex); writers never read it, they look at their root.
 	indexed atomic.Bool
+	// scanPool parks the workspaces ordered scans run in (scan.go).
+	scanPool sync.Pool
 }
 
 type shard struct {
@@ -378,6 +380,9 @@ func (s *Store) appendValue(c *ctx, dst []byte, entry pmemobj.Oid, key []byte) (
 		entry = c.LoadOid(ep, enNext)
 	}
 	metProbeLength.Observe(walked)
+	if c.Err() == nil {
+		hitOrMiss(found, metGetsHit, metGetsMiss).Inc()
+	}
 	return dst, found
 }
 
@@ -388,9 +393,14 @@ func (s *Store) Put(key, value []byte) error { return s.PutTraced(nil, key, valu
 // its begin/commit/flush/fence stage durations to tr, and any rehash
 // or version reclamation the write triggers lands in tr's maint
 // phase. Nil tr is Put.
-func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
+func (s *Store) PutTraced(tr *trace.Req, key, value []byte) (err error) {
+	defer func() {
+		if err == nil {
+			metPuts.Inc()
+		}
+	}()
 	if s.mvcc {
-		_, err := s.writeMVCC(tr, key, value, false)
+		_, err = s.writeMVCC(tr, key, value, false)
 		return err
 	}
 	h := hashKey(key)
@@ -401,7 +411,7 @@ func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
 	acc := s.proto
 	c := &acc
 	c.Trace = tr
-	err := c.Run(func(tx *pmemobj.Tx) {
+	err = c.Run(func(tx *pmemobj.Tx) {
 		hp := c.Direct(sh.hdr)
 		n := c.Load(hp, shNBuckets)
 		buckets := c.LoadOid(hp, shBuckets)
@@ -558,7 +568,12 @@ func (s *Store) Delete(key []byte) (bool, error) { return s.DeleteTraced(nil, ke
 
 // DeleteTraced is Delete attributing transaction stage durations to a
 // traced request. Nil tr is Delete.
-func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (bool, error) {
+func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (removed bool, err error) {
+	defer func() {
+		if err == nil {
+			hitOrMiss(removed, metDeletesHit, metDeletesMiss).Inc()
+		}
+	}()
 	if s.mvcc {
 		return s.writeMVCC(tr, key, nil, true)
 	}
@@ -570,8 +585,7 @@ func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (bool, error) {
 	acc := s.proto
 	c := &acc
 	c.Trace = tr
-	removed := false
-	err := c.Run(func(tx *pmemobj.Tx) {
+	err = c.Run(func(tx *pmemobj.Tx) {
 		hp := c.Direct(sh.hdr)
 		n := c.Load(hp, shNBuckets)
 		buckets := c.LoadOid(hp, shBuckets)

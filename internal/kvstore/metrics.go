@@ -16,6 +16,27 @@ var (
 	metIndexBuilds  = telemetry.Default.Counter("spp_kv_index_builds_total", "per-shard ordered-index builds (first-scan activation and rehash)")
 )
 
+// Point-operation telemetry: operations that completed, by outcome,
+// whichever surface asked — a served request, an embedded caller or a
+// snapshot's Get.
+var (
+	metGets        = telemetry.Default.CounterVec("spp_kv_gets_total", "lookups (Get, AppendGet, Snap.Get) that completed, by whether the key was there", "result")
+	metGetsHit     = metGets.With("hit")
+	metGetsMiss    = metGets.With("miss")
+	metPuts        = telemetry.Default.Counter("spp_kv_puts_total", "puts committed")
+	metDeletes     = telemetry.Default.CounterVec("spp_kv_deletes_total", "deletes that completed, by whether the key was there", "result")
+	metDeletesHit  = metDeletes.With("hit")
+	metDeletesMiss = metDeletes.With("miss")
+)
+
+// hitOrMiss picks the counter of a {result} pair.
+func hitOrMiss(found bool, hit, miss *telemetry.Counter) *telemetry.Counter {
+	if found {
+		return hit
+	}
+	return miss
+}
+
 // Hash-layout telemetry: the probe length is the cost of the layout as
 // a point operation pays it — a store at load factor one should walk
 // one or two entries, and a p99 far above that means keys are crowding

@@ -243,11 +243,11 @@ func (s *Store) Snapshot() *Snap {
 
 // Get returns the value stored under key in the snapshot's view.
 func (sn *Snap) Get(key []byte) ([]byte, bool, error) {
-	if !sn.pinned {
-		return sn.s.Get(key)
-	}
 	if sn.released {
 		return nil, false, errReleased
+	}
+	if !sn.pinned {
+		return sn.s.Get(key)
 	}
 	s := sn.s
 	h := hashKey(key)
@@ -259,11 +259,11 @@ func (sn *Snap) Get(key []byte) ([]byte, bool, error) {
 
 // Count returns the number of keys in the snapshot's view.
 func (sn *Snap) Count() (uint64, error) {
-	if !sn.pinned {
-		return sn.s.Count()
-	}
 	if sn.released {
 		return 0, errReleased
+	}
+	if !sn.pinned {
+		return sn.s.Count()
 	}
 	var total uint64
 	for _, r := range sn.roots {

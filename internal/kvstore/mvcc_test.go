@@ -199,27 +199,36 @@ func TestEpochReclaimNoLeak(t *testing.T) {
 	}
 }
 
-// TestSnapshotUseAfterRelease pins the released-snapshot contract.
+// TestSnapshotUseAfterRelease pins the released-snapshot contract, in
+// both read modes: a NoMVCC snapshot pins nothing, but released is
+// released — it must not go on reading live data.
 func TestSnapshotUseAfterRelease(t *testing.T) {
-	s, _ := newStore(t, variant.SPP)
-	if err := s.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	sn := s.Snapshot()
-	if err := sn.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sn.Release(); err != nil {
-		t.Fatalf("second Release = %v, want nil", err)
-	}
-	if _, _, err := sn.Get([]byte("k")); err != errReleased {
-		t.Errorf("Get after release = %v, want errReleased", err)
-	}
-	if _, err := sn.Count(); err != errReleased {
-		t.Errorf("Count after release = %v, want errReleased", err)
-	}
-	if err := sn.Scan(nil, nil, func(_, _ []byte) bool { return true }); err != errReleased {
-		t.Errorf("Scan after release = %v, want errReleased", err)
+	for _, noMVCC := range []bool{false, true} {
+		t.Run(fmt.Sprintf("noMVCC=%v", noMVCC), func(t *testing.T) {
+			s, _ := newStoreKnobs(t, variant.SPP, engine.Knobs{NoMVCC: noMVCC})
+			if err := s.Put([]byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			sn := s.Snapshot()
+			if v, ok, err := sn.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
+				t.Fatalf("Get before release = %q, %v, %v", v, ok, err)
+			}
+			if err := sn.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sn.Release(); err != nil {
+				t.Fatalf("second Release = %v, want nil", err)
+			}
+			if _, _, err := sn.Get([]byte("k")); err != errReleased {
+				t.Errorf("Get after release = %v, want errReleased", err)
+			}
+			if _, err := sn.Count(); err != errReleased {
+				t.Errorf("Count after release = %v, want errReleased", err)
+			}
+			if err := sn.Scan(nil, nil, func(_, _ []byte) bool { return true }); err != errReleased {
+				t.Errorf("Scan after release = %v, want errReleased", err)
+			}
+		})
 	}
 }
 

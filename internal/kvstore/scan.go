@@ -9,17 +9,64 @@
 // chain and sorted, O(keys in the shard). The walk serves roots pinned
 // before the index was activated and the NoMVCC ablation, and is the
 // oracle the index is tested against.
+//
+// What a scan needs besides its rows it borrows from the store's pool
+// for the length of the call, as one scanWS. The borrower is its only
+// user — fn scanning the same store borrows another — so a pair is
+// valid until fn returns, as ever. A parked workspace keeps capacity
+// and nothing else: a root, index node or row left in an idle pool
+// would pin versions the retire machinery has already let go.
 package kvstore
 
 import (
 	"bytes"
-	"container/heap"
 	"errors"
 	"sort"
 
 	"repro/internal/pmemobj"
-	"repro/internal/telemetry"
 )
+
+// scanWS is the workspace of one ordered scan.
+type scanWS struct {
+	c       ctx
+	roots   []*shardRoot // Store.Scan's private snapshot, by shard
+	runs    []run        // the merge heap
+	iters   []ixIter     // by shard; a run over an index points at its own
+	scratch []byte       // the row fn is looking at
+}
+
+// scanRetainCap is the largest row buffer a parked workspace keeps
+// (wire.RetainCap's rule): one huge value must not stay with an idle store.
+const scanRetainCap = 64 << 10
+
+// borrowScan takes a workspace out of the pool; an empty pool — first
+// use, or a scan nested in another's fn — makes one.
+func (s *Store) borrowScan() *scanWS {
+	ws, _ := s.scanPool.Get().(*scanWS)
+	if ws == nil {
+		n := len(s.shards)
+		ws = &scanWS{roots: make([]*shardRoot, n), runs: make([]run, 0, n), iters: make([]ixIter, n)}
+	}
+	ws.c = s.proto
+	return ws
+}
+
+// parkScan returns ws to the pool, every slice cleared to its capacity,
+// not its length: the slots a cursor popped still name their nodes.
+func (s *Store) parkScan(ws *scanWS) {
+	clear(ws.roots)
+	clear(ws.runs[:cap(ws.runs)])
+	ws.runs = ws.runs[:0]
+	for i := range ws.iters {
+		st := ws.iters[i].stack
+		clear(st[:cap(st)])
+		ws.iters[i].stack = st[:0]
+	}
+	if cap(ws.scratch) > scanRetainCap {
+		ws.scratch = nil
+	}
+	s.scanPool.Put(ws)
+}
 
 // scanItem is one in-range entry: the key (loaded eagerly — ordering
 // needs it) and the entry oid. val is loaded lazily at visit time on
@@ -67,12 +114,13 @@ func (s *Store) collectRange(c *ctx, root *shardRoot, lo, hi []byte, eager bool)
 }
 
 // run is one shard's in-range entries in key order: the rest of a
-// collected, sorted slice, or (index non-nil) a cursor over the shard
-// root's index bounded by hi. Only non-empty runs exist.
+// collected, sorted slice, or (index non-nil) the workspace's cursor for
+// that shard over the root's index, bounded by hi. Only non-empty runs
+// exist.
 type run struct {
 	items []scanItem
 	index *rootIndex
-	ix    ixIter
+	ix    *ixIter
 }
 
 func (r *run) key() []byte {
@@ -92,20 +140,19 @@ func (r *run) advance(hi []byte) bool {
 	return r.ix.inRange(hi)
 }
 
-// mergeHeap is a min-heap of runs keyed by each run's head.
-type mergeHeap []run
-
-func (m mergeHeap) Len() int { return len(m) }
-func (m mergeHeap) Less(i, j int) bool {
-	return bytes.Compare(m[i].key(), m[j].key()) < 0
-}
-func (m mergeHeap) Swap(i, j int) { m[i], m[j] = m[j], m[i] }
-func (m *mergeHeap) Push(x any)   { *m = append(*m, x.(run)) }
-func (m *mergeHeap) Pop() any {
-	old := *m
-	x := old[len(old)-1]
-	*m = old[:len(old)-1]
-	return x
+// siftDown restores the min-heap order of h — runs keyed by their head
+// — below position i, the only place it can be broken once the run
+// there has advanced or been replaced.
+func siftDown(h []run, i int) {
+	for m := 2*i + 1; m < len(h); i, m = m, 2*m+1 {
+		if m+1 < len(h) && bytes.Compare(h[m+1].key(), h[m].key()) < 0 {
+			m++
+		}
+		if bytes.Compare(h[m].key(), h[i].key()) >= 0 {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+	}
 }
 
 // errIndexStale reports an index node whose entry does not hold the
@@ -114,31 +161,30 @@ func (m *mergeHeap) Pop() any {
 // the store does not contain.
 var errIndexStale = errors.New("kvstore: ordered index names an entry that no longer holds its key")
 
-// visitMerged merges the per-shard runs and calls fn on each pair in
-// ascending key order, stopping early when fn returns false. Whatever
-// fn receives was read from PM through the hooks: an indexed row loads
-// its key and value together and checks the key against the index,
-// which is used for order only. Rows read at visit time share one
-// scratch buffer, so a pair is valid until fn returns and fn copies
-// what it keeps.
-func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []byte) bool) error {
+// visitMerged merges ws.runs and calls fn on each pair in ascending key
+// order, stopping early when fn returns false. Whatever fn receives was
+// read from PM through the hooks: an indexed row loads its key and value
+// together and checks the key against the index, which is used for
+// order only. Rows read at visit time share the workspace's scratch
+// buffer, so a pair is valid until fn returns and fn copies what it
+// keeps.
+func (s *Store) visitMerged(ws *scanWS, hi []byte, fn func(key, value []byte) bool) error {
 	var examined, returned uint64
 	defer func() {
-		if telemetry.On() {
-			metScans.Inc()
-			metScanExamined.Add(examined)
-			metScanReturned.Add(returned)
-		}
+		metScans.Inc()
+		metScanExamined.Add(examined)
+		metScanReturned.Add(returned)
 	}()
-	h := mergeHeap(runs)
-	heap.Init(&h)
-	var scratch []byte
-	for _, r := range h {
-		if r.index != nil {
+	c, h := &ws.c, ws.runs
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := range h {
+		if h[i].index != nil {
 			examined++
 		}
 	}
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		r := &h[0]
 		var key, val []byte
 		if r.index != nil {
@@ -146,11 +192,11 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 			ep := c.Direct(r.index.entry(n))
 			vlen := c.Load(ep, enVLen)
 			klen := len(n.key)
-			data := c.AppendBytes(scratch[:0], ep, s.entryDataOff(), uint64(klen)+vlen)
+			data := c.AppendBytes(ws.scratch[:0], ep, s.entryDataOff(), uint64(klen)+vlen)
 			if err := c.Take(); err != nil {
 				return err
 			}
-			scratch = data
+			ws.scratch = data
 			if !bytes.Equal(data[:klen], n.key) {
 				return errIndexStale
 			}
@@ -161,11 +207,11 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 			if !it.hasVal {
 				ep := c.Direct(it.entry)
 				vlen := c.Load(ep, enVLen)
-				val = c.AppendBytes(scratch[:0], ep, s.entryDataOff()+int64(len(key)), vlen)
+				val = c.AppendBytes(ws.scratch[:0], ep, s.entryDataOff()+int64(len(key)), vlen)
 				if err := c.Take(); err != nil {
 					return err
 				}
-				scratch = val
+				ws.scratch = val
 			}
 		}
 		returned++
@@ -176,26 +222,26 @@ func (s *Store) visitMerged(c *ctx, runs []run, hi []byte, fn func(key, value []
 			if r.index != nil {
 				examined++
 			}
-			heap.Fix(&h, 0)
 		} else if last := len(h) - 1; last > 0 {
 			h[0], h = h[last], h[:last]
-			heap.Fix(&h, 0)
 		} else {
 			return nil
 		}
+		siftDown(h, 0)
 	}
 	return nil
 }
 
 // Scan visits every key in [lo, hi) in ascending byte order (nil lo
 // scans from the start, nil hi to the end), stopping early when fn
-// returns false. Under MVCC it runs against a private snapshot whose
-// roots carry the ordered index — the first scan of a store builds it,
-// O(keys) once; after that a scan costs O(shards · log keys + rows
-// visited) and writers keep the index current. Under NoMVCC it falls
-// back to per-shard locked collection, O(keys) per scan. The key and
-// value slices handed to fn are valid until fn returns; fn copies what
-// it keeps.
+// returns false. Under MVCC it runs against a private snapshot — a pin
+// and the roots it captures into its workspace — whose roots carry the
+// ordered index: the first scan of a store builds it, O(keys) once;
+// after that a scan costs O(shards · log keys + rows visited) and
+// writers keep the index current. Under NoMVCC it falls back to
+// per-shard locked collection, O(keys) per scan. The key and value
+// slices handed to fn are valid until fn returns; fn copies what it
+// keeps.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if !s.mvcc {
 		return s.lockedScan(lo, hi, fn)
@@ -204,55 +250,51 @@ func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if err := s.activateIndex(); err != nil {
 		return err
 	}
-	sn := s.Snapshot()
-	err := sn.Scan(lo, hi, fn)
-	if rerr := sn.Release(); err == nil {
-		err = rerr
+	ws := s.borrowScan()
+	defer s.parkScan(ws)
+	defer s.unpin(s.pin())
+	for i := range s.shards {
+		ws.roots[i] = s.shards[i].root.Load()
 	}
-	return err
+	return s.scanRoots(ws, ws.roots, lo, hi, fn)
 }
-
-// ixStackHint is the cursor stack depth a scan pre-sizes per shard —
-// about the part of a seek path that lies at or above lo for some
-// thousands of keys per shard; deeper paths grow their own stack.
-const ixStackHint = 8
 
 // Scan is Store.Scan against the snapshot's frozen view: no locks, and
 // the result is stable no matter how hard writers churn. A snapshot
 // taken after the store's first scan seeks its roots' indexes; one
 // taken before walks every chain of its roots, O(keys) per scan.
 func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	if !sn.pinned {
-		return sn.s.lockedScan(lo, hi, fn)
-	}
 	if sn.released {
 		return errReleased
 	}
-	s := sn.s
-	acc := s.proto
-	c := &acc
-	runs := make([]run, 0, len(sn.roots))
-	var stacks []*ixNode
+	if !sn.pinned {
+		return sn.s.lockedScan(lo, hi, fn)
+	}
+	ws := sn.s.borrowScan()
+	defer sn.s.parkScan(ws)
+	return sn.s.scanRoots(ws, sn.roots, lo, hi, fn)
+}
+
+// scanRoots opens one run per shard of a pinned view in ws and merges
+// them.
+func (s *Store) scanRoots(ws *scanWS, roots []*shardRoot, lo, hi []byte, fn func(key, value []byte) bool) error {
 	walked := false
-	for i, r := range sn.roots {
+	for i, r := range roots {
 		if r.index == nil {
 			walked = true
-			items, err := s.collectRange(c, r, lo, hi, false)
+			items, err := s.collectRange(&ws.c, r, lo, hi, false)
 			if err != nil {
 				return err
 			}
 			if len(items) > 0 {
-				runs = append(runs, run{items: items})
+				ws.runs = append(ws.runs, run{items: items})
 			}
 			continue
 		}
-		if stacks == nil {
-			stacks = make([]*ixNode, len(sn.roots)*ixStackHint)
-		}
-		ix := ixIter{stack: stacks[i*ixStackHint : i*ixStackHint : (i+1)*ixStackHint]}
+		ix := &ws.iters[i]
 		ix.seek(r.index.tree, lo)
 		if ix.inRange(hi) {
-			runs = append(runs, run{index: r.index, ix: ix})
+			ws.runs = append(ws.runs, run{index: r.index, ix: ix})
 		}
 	}
 	if walked {
@@ -261,7 +303,7 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 			return err
 		}
 	}
-	return s.visitMerged(c, runs, hi, fn)
+	return s.visitMerged(ws, hi, fn)
 }
 
 // lockedScan is the NoMVCC fallback: each shard is frozen under its
@@ -269,9 +311,9 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // (values eagerly — once the lock drops a writer may free the entry),
 // then the per-shard runs merge exactly like the snapshot path.
 func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	acc := s.proto
-	c := &acc
-	runs := make([]run, 0, len(s.shards))
+	ws := s.borrowScan()
+	defer s.parkScan(ws)
+	c := &ws.c
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -280,7 +322,7 @@ func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error
 			var items []scanItem
 			items, err = s.collectRange(c, root, lo, hi, true)
 			if len(items) > 0 {
-				runs = append(runs, run{items: items})
+				ws.runs = append(ws.runs, run{items: items})
 			}
 		}
 		sh.mu.RUnlock()
@@ -288,5 +330,5 @@ func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error
 			return err
 		}
 	}
-	return s.visitMerged(c, runs, hi, fn)
+	return s.visitMerged(ws, hi, fn)
 }

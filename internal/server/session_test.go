@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -261,6 +262,45 @@ func TestLoopbackGetAllocs(t *testing.T) {
 		t.Errorf("a loopback Get allocates %.0f times process-wide, want at most 2", allocs)
 	}
 	t.Logf("loopback Get: %.0f allocations", allocs)
+}
+
+// TestLoopbackScanAllocs: a served 32-row scan over the ledger's
+// population costs the whole process at most three allocations — the
+// reply payload and the pairs slice the caller keeps, and one of slack.
+// The server side allocates for neither its rows nor its shards.
+func TestLoopbackScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, addr := startServer(t, Config{Protection: "spp", PoolSize: 64 << 20})
+	c := dial(t, addr, "tenant")
+	const keys, rows = 20000, 32
+	key := func(i int) []byte { return []byte(fmt.Sprintf("%016d", i)) }
+	value := bytes.Repeat([]byte("v"), 256)
+	for i := 0; i < keys; i++ {
+		if err := c.Put(key(i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	los := make([][]byte, keys-rows)
+	for i := range los {
+		los[i] = key(i)
+	}
+	i := 0
+	scan := func() {
+		i = (i*31 + 7) % len(los)
+		if kvs, err := c.Scan(los[i], nil, rows); err != nil || len(kvs) != rows || !bytes.Equal(kvs[0].Key, los[i]) {
+			t.Fatalf("scan from %d: %d rows, %v", i, len(kvs), err)
+		}
+	}
+	for n := 0; n < 500; n++ {
+		scan() // builds the index, sizes the workspace and the buffers
+	}
+	allocs := testing.AllocsPerRun(500, scan)
+	if allocs > 3 {
+		t.Errorf("a loopback 32-row scan allocates %.0f times process-wide, want at most 3", allocs)
+	}
+	t.Logf("loopback 32-row scan: %.0f allocations", allocs)
 }
 
 // TestCloseDrainsParkedHandler: graceful Close must not wait on a
