@@ -10,9 +10,11 @@ GO ?= go
 ## analysis smoke test, the disabled-telemetry overhead smoke test,
 ## the commit-pipeline differential crash tests plus a tiny run of
 ## the commit experiment, the compiled-vs-interpreted differential
-## tests plus a tiny run of the compile experiment, the KV service
-## suite plus a tiny run of the serve experiment, the request-
-## tracing smoke test plus a sampled run of the serve experiment,
+## tests with the call-path, call-depth and allocation guards, ten
+## seconds of their fuzz target and a tiny run of the compile
+## experiment, the KV service suite plus a tiny run of the serve
+## experiment, the request-tracing smoke test plus a sampled run of
+## the serve experiment,
 ## and the MVCC snapshot, scan-index and hash-layout suite, ten seconds
 ## of the scan fuzz target and a tiny run of the scan experiment.
 check: fmt vet test bench-module race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
@@ -89,10 +91,20 @@ commit-smoke:
 
 ## compile-smoke: the closure-compiled dispatch must agree with the
 ## reference interpreter — results, fault verdicts, durable images —
-## and the bitmap allocator must round-trip against the map-based
-## free lists, plus a tiny run of the compile experiment end to end.
+## on every call path too (linked, interpreted callee and caller,
+## recursion that regrows the register stack, a budget or a trap inside
+## a callee, externals that re-enter Run or scribble on their argument
+## window, malformed callees), with the call-depth bound in both
+## executors and under `sppc -run`, and the allocation guards (a linked
+## call and a callext allocate nothing, a run of kernel-param's shape
+## <= 2 objects however many calls it makes); the bitmap allocator must
+## round-trip against the map-based free lists; ten seconds of the
+## compiled-vs-interpreted fuzz target; plus a tiny run of the compile
+## experiment end to end, which prints the compiled B/run.
 compile-smoke:
-	$(GO) test -run 'TestCompile|TestCompiled|TestBitmap|TestFbits' ./internal/interp ./internal/transform ./internal/pmemobj -count=1
+	$(GO) test -run 'TestCompile|TestCompiled|TestCall|TestRecursion|TestStepBudget|TestCallee|TestExternalBorrows|TestMalformed|TestLateNoCompile|TestBitmap|TestFbits' ./internal/interp ./internal/transform ./internal/pmemobj -count=1
+	$(GO) test -run 'TestRunawayRecursion' ./cmd/sppc -count=1
+	$(GO) test -run='^$$' -fuzz=FuzzCompiledVsInterpreted -fuzztime=10s ./internal/transform
 	$(GO) run ./cmd/sppbench -exp compile -scale 0.005
 
 ## serve-smoke: the KV service suite — multi-tenant clients over a

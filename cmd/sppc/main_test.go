@@ -69,6 +69,18 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunawayRecursion: the recursive fixture must end as an error in
+// both executors, not as the runtime's fatal stack overflow.
+func TestRunawayRecursion(t *testing.T) {
+	fx := filepath.Join("..", "..", "examples", "compiler-pass", "recursive.ir")
+	for _, args := range [][]string{{"-q", "-run", fx}, {"-q", "-run", "-no-compile", fx}} {
+		err := run(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "call depth exceeded in @f") {
+			t.Errorf("sppc %v = %v, want call depth exceeded in @f", args, err)
+		}
+	}
+}
+
 // TestLintCommand lints the shipped example fixtures: the clean one
 // must pass, the laundered one must fail with both diagnostics and an
 // actionable repair hint.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/interp"
@@ -21,7 +22,7 @@ func Compile(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
 		Title:   "Closure compilation vs reference interpreter (hook-heavy corpus, SPP)",
-		Columns: []string{"program", "interpreted", "compiled", "speedup"},
+		Columns: []string{"program", "interpreted", "compiled", "speedup", "B/run"},
 	}
 	// All elision tiers off: every bound check, tag update and flush
 	// the transform would otherwise remove stays live.
@@ -30,6 +31,7 @@ func Compile(cfg Config) (Table, error) {
 	}
 	iters := uint64(cfg.scaled(100_000) / 100)
 	var totInterp, totComp time.Duration
+	var totBytes uint64
 	var funcs, thunks, hooks int
 	for _, p := range elidePrograms {
 		m, err := ir.Parse(p.src)
@@ -67,6 +69,16 @@ func Compile(cfg Config) (Table, error) {
 		if st.Funcs == 0 {
 			return t, fmt.Errorf("%s: no functions compiled", p.name)
 		}
+		// Go heap bytes of one more, already compiled and linked run:
+		// what the executor itself allocates per execution.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := mach.Run("main", iters); err != nil {
+			return t, fmt.Errorf("%s (compiled, second run): %w", p.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		totBytes += bytes
 		funcs += st.Funcs
 		thunks += st.Thunks
 		hooks += st.Hooks
@@ -77,6 +89,7 @@ func Compile(cfg Config) (Table, error) {
 			fmt.Sprintf("%.2fms", float64(dInterp.Microseconds())/1000),
 			fmt.Sprintf("%.2fms", float64(dComp.Microseconds())/1000),
 			fmt.Sprintf("%.2fx", float64(dInterp)/float64(dComp)),
+			fmt.Sprint(bytes),
 		})
 	}
 	t.Rows = append(t.Rows, []string{
@@ -84,10 +97,13 @@ func Compile(cfg Config) (Table, error) {
 		fmt.Sprintf("%.2fms", float64(totInterp.Microseconds())/1000),
 		fmt.Sprintf("%.2fms", float64(totComp.Microseconds())/1000),
 		fmt.Sprintf("%.2fx", float64(totInterp)/float64(totComp)),
+		fmt.Sprint(totBytes),
 	})
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d funcs lowered to %d thunks (%d SPP hook sites inlined); "+
 			"all elision tiers disabled so every hook stays live", funcs, thunks, hooks),
+		"B/run is the Go heap a second compiled run allocates (registers and "+
+			"call arguments live on the machine's register stack)",
 		"both rows execute the same instrumented module; interpreted rows are what "+
 			"-no-compile selects, and compiled runs fall back per function when "+
 			"SSA dominance does not hold")

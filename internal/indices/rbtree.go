@@ -12,8 +12,7 @@ import (
 //
 // Header object: {count u64, sentinel oid, fakeroot oid}.
 // Node object:   {key u64, value u64, color u64, parent oid, left oid,
-//
-//	right oid}.
+// right oid}.
 type rbtree struct {
 	c    *ctx
 	hdr  pmemobj.Oid
@@ -96,23 +95,24 @@ func (t *rbtree) Count() (uint64, error) {
 	return n, t.c.Take()
 }
 
-// opCtx tracks which nodes the current transaction has snapshotted so
-// each node is copied into the undo log once.
+// opCtx tracks the nodes the current transaction has snapshotted so each
+// is copied into the undo log once (past 32, its range dedup sees to it).
 type opCtx struct {
 	t       *rbtree
 	tx      *pmemobj.Tx
-	snapped map[uint64]struct{}
-}
-
-func (t *rbtree) op(tx *pmemobj.Tx) *opCtx {
-	return &opCtx{t: t, tx: tx, snapped: make(map[uint64]struct{}, 16)}
+	snapped [32]uint64 // node offsets, filled from the front
 }
 
 func (o *opCtx) snap(n pmemobj.Oid) {
-	if _, ok := o.snapped[n.Off]; ok {
-		return
+	for i, off := range o.snapped {
+		if off == n.Off {
+			return
+		}
+		if off == 0 { // free slot: no object lives at offset 0
+			o.snapped[i] = n.Off
+			break
+		}
 	}
-	o.snapped[n.Off] = struct{}{}
 	o.t.c.Snapshot(o.tx, n, o.t.nodeSize())
 }
 
@@ -224,7 +224,7 @@ func (o *opCtx) rotateRight(x pmemobj.Oid) {
 func (t *rbtree) Insert(key, value uint64) error {
 	c := t.c
 	return c.Run(func(tx *pmemobj.Tx) {
-		o := t.op(tx)
+		o := &opCtx{t: t, tx: tx}
 
 		// BST descent from the fake root.
 		parent := t.root
@@ -338,7 +338,7 @@ func (t *rbtree) Remove(key uint64) (bool, error) {
 			return
 		}
 		removed = true
-		o := t.op(tx)
+		o := &opCtx{t: t, tx: tx}
 
 		// y is the node physically removed; x replaces it.
 		y := z

@@ -18,6 +18,13 @@ import (
 // instruction instead of a switch on opcode plus per-name map lookups,
 // so a surviving SPP hook costs what the hook itself costs.
 //
+// A call is decided once too: a call thunk links on first execution —
+// callee resolved and compiled — and from then on enters the callee's
+// thunk loop directly. Registers and argument lists live on one
+// machine-owned stack, so a call allocates nothing. A callee that is
+// unknown, external, of the wrong arity or declined to the interpreter
+// never links; that site keeps going through Machine.Run.
+//
 // The interpreter in interp.go remains the reference semantics and the
 // differential oracle (Machine.NoCompile selects it). The two must be
 // observably identical; the one semantic hazard is undefined values.
@@ -50,8 +57,9 @@ type CompileStats struct {
 	Fallbacks int
 }
 
-// cstate is the per-activation state of a compiled function: register
-// file, thunk program counter and the ret/done latch.
+// cstate is the state of the running compiled activation: register
+// file, thunk program counter and the ret/done latch. The machine has
+// one (Machine.cur); a caller's copy waits in runCompiled's Go frame.
 type cstate struct {
 	m    *Machine
 	regs []uint64
@@ -114,10 +122,40 @@ func (m *Machine) CompileAll() CompileStats {
 // CompileStats returns the compilation counters accumulated so far.
 func (m *Machine) CompileStats() CompileStats { return m.cstats }
 
-// runCompiled drives a compiled function: one indirect call per
-// instruction, sharing the machine's step budget with the interpreter.
-func (m *Machine) runCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
-	s := cstate{m: m, regs: make([]uint64, cf.nRegs)}
+// push carves n uncleared words off the register stack; the caller pops
+// them with m.sp -= n. Growth copies nothing: a live frame is reached
+// only through its own slice, which keeps the array it was carved from.
+func (m *Machine) push(n int) []uint64 {
+	top := m.sp + n
+	if top > len(m.stack) {
+		m.stack = make([]uint64, max(2*len(m.stack), top, 256))
+	}
+	m.sp = top
+	return m.stack[top-n : top : top]
+}
+
+// window pushes the values of the given registers as one argument list,
+// lent to the callee until the caller pops it. A callee's own frame (and
+// whatever an external re-entering Run pushes) lands above it.
+func (s *cstate) window(slots []int) []uint64 {
+	w := s.m.push(len(slots))
+	for i, r := range slots {
+		w[i] = s.regs[r]
+	}
+	return w
+}
+
+// runCompiled drives one activation of a compiled function: one indirect
+// call per instruction, sharing the machine's step budget with the
+// interpreter. Frame and call level are released on every way out.
+func (m *Machine) runCompiled(cf *compiledFunc, args []uint64) (ret uint64, err error) {
+	if err = m.descend(cf.f); err != nil {
+		return 0, err
+	}
+	s := &m.cur
+	caller := *s
+	*s = cstate{m: m, regs: m.push(cf.nRegs)}
+	clear(s.regs)
 	for i, r := range cf.params {
 		s.regs[r] = args[i]
 	}
@@ -125,15 +163,33 @@ func (m *Machine) runCompiled(cf *compiledFunc, args []uint64) (uint64, error) {
 	for !s.done {
 		m.steps++
 		if m.steps > m.MaxSteps {
-			return 0, fmt.Errorf("interp: step budget exceeded in %s", cf.f.Name)
+			err = fmt.Errorf("interp: step budget exceeded in %s", cf.f.Name)
+			break
 		}
 		t := code[s.pc]
 		s.pc++
-		if err := t(&s); err != nil {
-			return 0, err
+		if err = t(s); err != nil {
+			break
 		}
 	}
-	return s.ret, nil
+	if err == nil {
+		ret = s.ret
+	}
+	*s = caller
+	m.sp -= cf.nRegs
+	m.ascend()
+	return ret, err
+}
+
+// link resolves a call site's callee once it can: nil keeps the site on
+// Machine.Run, which owns the error for an unknown, external or
+// wrong-arity callee and interprets one that declined compilation.
+func (m *Machine) link(sym string, nargs int) *compiledFunc {
+	f := m.mod.Func(sym)
+	if f == nil || f.External || len(f.Params) != nargs {
+		return nil
+	}
+	return m.compiledFor(f)
 }
 
 // compile lowers f, or returns nil to decline it to the interpreter.
@@ -370,37 +426,7 @@ func (m *Machine) lower(cf *compiledFunc, f *ir.Func, in *ir.Instr,
 		}
 		return func(s *cstate) error { s.done = true; return nil }, false
 
-	case ir.Call:
-		args := make([]int, len(in.Args))
-		for i := range in.Args {
-			args[i] = argR(i)
-		}
-		sym := in.Sym
-		if in.Dst != "" {
-			d := reg(in.Dst)
-			return func(s *cstate) error {
-				vals := make([]uint64, len(args))
-				for i, r := range args {
-					vals[i] = s.regs[r]
-				}
-				ret, err := s.m.Run(sym, vals...)
-				if err != nil {
-					return err
-				}
-				s.regs[d] = ret
-				return nil
-			}, false
-		}
-		return func(s *cstate) error {
-			vals := make([]uint64, len(args))
-			for i, r := range args {
-				vals[i] = s.regs[r]
-			}
-			_, err := s.m.Run(sym, vals...)
-			return err
-		}, false
-
-	case ir.CallExt:
+	case ir.Call, ir.CallExt:
 		args := make([]int, len(in.Args))
 		for i := range in.Args {
 			args[i] = argR(i)
@@ -410,18 +436,40 @@ func (m *Machine) lower(cf *compiledFunc, f *ir.Func, in *ir.Instr,
 		if in.Dst != "" {
 			d = reg(in.Dst)
 		}
-		// The registry is resolved per call: RegisterExternal after New
-		// (and after compilation) must keep working.
+		if in.Op == ir.CallExt {
+			// The registry is resolved per call: RegisterExternal after
+			// New (and after compilation) must keep working.
+			return func(s *cstate) error {
+				fn, ok := s.m.externals[sym]
+				if !ok {
+					return fmt.Errorf("interp: unknown external @%s", sym)
+				}
+				ret, err := fn(s.m, s.window(args))
+				s.m.sp -= len(args)
+				if err != nil {
+					return err
+				}
+				if d >= 0 {
+					s.regs[d] = ret
+				}
+				return nil
+			}, false
+		}
+		var callee *compiledFunc // linked by the first execution that can
 		return func(s *cstate) error {
-			fn, ok := s.m.externals[sym]
-			if !ok {
-				return fmt.Errorf("interp: unknown external @%s", sym)
+			m := s.m
+			if callee == nil {
+				callee = m.link(sym, len(args))
 			}
-			vals := make([]uint64, len(args))
-			for i, r := range args {
-				vals[i] = s.regs[r]
+			vals := s.window(args)
+			var ret uint64
+			var err error
+			if callee != nil {
+				ret, err = m.runCompiled(callee, vals)
+			} else {
+				ret, err = m.Run(sym, vals...)
 			}
-			ret, err := fn(s.m, vals)
+			m.sp -= len(args)
 			if err != nil {
 				return err
 			}

@@ -19,7 +19,9 @@ import (
 )
 
 // ExternalFn simulates an uninstrumented library function. It receives
-// already-masked pointer arguments and accesses memory raw.
+// already-masked pointer arguments and accesses memory raw. The args
+// slice is lent for the call only (compiled execution passes a window
+// of its register stack): an external that keeps it must copy it.
 type ExternalFn func(m *Machine, args []uint64) (uint64, error)
 
 // Machine runs one module against one environment.
@@ -42,6 +44,39 @@ type Machine struct {
 	NoCompile bool
 	compiled  map[string]*compiledFunc
 	cstats    CompileStats
+
+	// Compiled execution (compile.go): activation registers and call
+	// argument lists are carved from stack below sp; cur is the running
+	// activation. depth counts live activations of both executors.
+	stack []uint64
+	sp    int
+	cur   cstate
+	depth int
+}
+
+// maxCallDepth bounds depth. Both executors recurse on Go's own stack,
+// so a runaway recursion must end as an error before the runtime's fatal
+// stack overflow ends the process. parkedRegs is the largest register
+// stack (1 MiB) an idle machine keeps.
+const (
+	maxCallDepth = 10000
+	parkedRegs   = 1 << 17
+)
+
+// descend counts one activation of f; ascend releases it.
+func (m *Machine) descend(f *ir.Func) error {
+	if m.depth == maxCallDepth {
+		return fmt.Errorf("interp: call depth exceeded in @%s", f.Name)
+	}
+	m.depth++
+	return nil
+}
+
+func (m *Machine) ascend() {
+	m.depth--
+	if m.depth == 0 && len(m.stack) > parkedRegs {
+		m.stack = nil
+	}
 }
 
 // New returns a machine for the module over the environment, with the
@@ -113,6 +148,10 @@ func (m *Machine) Run(fn string, args ...uint64) (uint64, error) {
 	if cf := m.compiledFor(f); cf != nil {
 		return m.runCompiled(cf, args)
 	}
+	if err := m.descend(f); err != nil {
+		return 0, err
+	}
+	defer m.ascend()
 	vals := make(map[string]uint64, 16)
 	for i, p := range f.Params {
 		vals[p] = args[i]

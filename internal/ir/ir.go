@@ -63,6 +63,18 @@ var opNames = map[Op]string{
 	SppMemIntrCheck: "spp.memintr",
 }
 
+// operands is each opcode's operand count, {min, max}; call and callext
+// take as many as the callee does.
+var operands = map[Op][2]int{
+	Const: {0, 0}, Malloc: {1, 1}, PmemAlloc: {1, 1}, PmemDirect: {1, 1}, Gep: {1, 2},
+	Load: {1, 1}, Store: {2, 2}, PtrToInt: {1, 1}, IntToPtr: {1, 1},
+	Add: {2, 2}, Sub: {2, 2}, Mul: {2, 2}, ICmpLt: {2, 2}, ICmpEq: {2, 2},
+	Br: {0, 0}, CondBr: {1, 1}, Ret: {0, 1},
+	MemCpy: {3, 3}, MemSet: {3, 3}, StrCpy: {2, 2}, Flush: {1, 1}, Fence: {0, 0},
+	SppUpdateTag: {1, 2}, SppCheckBound: {1, 1}, SppCleanTag: {1, 1},
+	SppCleanExternal: {1, 1}, SppMemIntrCheck: {2, 2},
+}
+
 func (o Op) String() string {
 	if s, ok := opNames[o]; ok {
 		return s
@@ -227,9 +239,10 @@ func (m *Module) String() string {
 }
 
 // Verify performs structural checks: unique function and block names,
-// defined blocks for branch targets, terminators at block ends, call
-// arity, and every value reference resolving to a parameter or an
-// instruction result of the function.
+// defined blocks for branch targets, terminators at block ends, operand
+// counts and call arity, results named only where an opcode has one, and
+// every value reference resolving to a parameter or an instruction
+// result of the function.
 func (m *Module) Verify() error {
 	funcNames := make(map[string]bool, len(m.Funcs))
 	for _, f := range m.Funcs {
@@ -270,6 +283,15 @@ func (m *Module) Verify() error {
 				if isTerm != (i == len(blk.Instrs)-1) {
 					return fmt.Errorf("ir: %s/%s: terminator misplaced at %d (%s)", f.Name, blk.Name, i, in)
 				}
+				switch in.Op {
+				case Store, Br, CondBr, Ret, MemCpy, MemSet, StrCpy, Flush, Fence:
+					if in.Dst != "" {
+						return fmt.Errorf("ir: %s/%s: %s produces no value to name %s", f.Name, blk.Name, in.Op, in.Dst)
+					}
+				}
+				if n, ok := operands[in.Op]; ok && (len(in.Args) < n[0] || len(in.Args) > n[1]) {
+					return fmt.Errorf("ir: %s/%s: %s wants %d to %d operands, got %d", f.Name, blk.Name, in.Op, n[0], n[1], len(in.Args))
+				}
 				for _, a := range in.Args {
 					if !defined[a] {
 						return fmt.Errorf("ir: %s/%s: use of undefined value %q in %q", f.Name, blk.Name, a, in)
@@ -304,14 +326,6 @@ func (m *Module) Verify() error {
 				case SppCheckBound:
 					if in.Size == 0 {
 						return fmt.Errorf("ir: %s: zero-size bound check", f.Name)
-					}
-				case Flush:
-					if len(in.Args) != 1 {
-						return fmt.Errorf("ir: %s: flush wants 1 operand, got %d", f.Name, len(in.Args))
-					}
-				case Fence:
-					if len(in.Args) != 0 {
-						return fmt.Errorf("ir: %s: fence takes no operands", f.Name)
 					}
 				}
 			}

@@ -90,6 +90,11 @@ func TestParseErrors(t *testing.T) {
 		{"zero-size bound check", "func @f(%p) {\nentry:\n  %c = spp.checkbound %p\n  ret\n}"},
 		{"flush arity", "func @f(%p) {\nentry:\n  flush %p, %p\n  ret\n}"},
 		{"fence with operand", "func @f(%p) {\nentry:\n  fence %p\n  ret\n}"},
+		{"store missing operands", "func @f() {\nentry:\n  store.1\n  ret\n}"},
+		{"malloc missing size", "func @f() {\nentry:\n  %p = malloc\n  ret\n}"},
+		{"add with three operands", "func @f(%a) {\nentry:\n  %x = add %a, %a, %a\n  ret\n}"},
+		{"ret with two values", "func @f(%a) {\nentry:\n  ret %a, %a\n}"},
+		{"result of a fence", "func @f() {\nentry:\n  %v = fence\n  ret %v\n}"},
 		{"bad updatetag offset", "func @f(%p) {\nentry:\n  %q = spp.updatetag %p, zebra\n  ret\n}"},
 	}
 	for _, tt := range tests {

@@ -92,10 +92,17 @@ func HookSampling() int { return int(hookSampleMask.Load()) + 1 }
 // rest, trading per-increment accuracy for an uncontended fast path.
 // The random draw is rand/v2's per-thread generator, so sampled sites
 // share no mutable state at all between cores.
+//
+// The disabled gate is split from the sampling so it inlines into the
+// hook sites: with telemetry off a checked access pays one load here,
+// not a call.
 func (c *Counter) IncSampled() {
-	if !enabled.Load() {
-		return
+	if enabled.Load() {
+		c.incSampledOn()
 	}
+}
+
+func (c *Counter) incSampledOn() {
 	mask := hookSampleMask.Load()
 	if mask == 0 {
 		c.v.Add(1)

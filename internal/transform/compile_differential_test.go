@@ -2,6 +2,7 @@ package transform
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,10 +52,10 @@ func runVerdict(t *testing.T, mod *ir.Module, kind variant.Kind, noCompile bool)
 	return v
 }
 
-// TestCompiledDifferentialVerdicts sweeps the random straight-line and
-// loop corpora — in-bounds and fault-injected — across all opt rungs
-// and protection variants, requiring the compiled path to reproduce the
-// interpreter's verdict exactly.
+// TestCompiledDifferentialVerdicts sweeps the random straight-line,
+// loop and call corpora — in-bounds and fault-injected — across all opt
+// rungs and protection variants, requiring the compiled path to
+// reproduce the interpreter's verdict exactly.
 func TestCompiledDifferentialVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(20240808))
 	faults := []string{faultNone, faultOverflow, faultStraddle, faultUnderflow}
@@ -65,6 +66,9 @@ func TestCompiledDifferentialVerdicts(t *testing.T) {
 	loopFaults := []string{faultNone, faultLoopOverflow, faultLoopInvar}
 	for trial := 0; trial < 6; trial++ {
 		srcs = append(srcs, genLoopProgram(rng, loopFaults[trial%len(loopFaults)]))
+	}
+	for trial := 0; trial < 6; trial++ {
+		srcs = append(srcs, genCallProgram(rng, callShapes[trial%len(callShapes)]))
 	}
 	for si, src := range srcs {
 		mod, err := ir.Parse(src)
@@ -144,6 +148,78 @@ func TestCompiledDurableImageEquivalence(t *testing.T) {
 		if len(repComp.Violations) != len(repRef.Violations) {
 			t.Errorf("%s: compiled execution changed pmemcheck violations: %v vs %v",
 				tc.name, repComp.Violations, repRef.Violations)
+		}
+	}
+}
+
+// mixedCallProgram crosses executors on an instrumented path: @main and
+// @leaf compile, @pick does not (%q is defined on one arm only), and the
+// persistent pointer travels through all three. @main's argument is the
+// offset @leaf stores at; 256 is one past the object.
+const mixedCallProgram = `
+func @leaf(%p, %off) {
+entry:
+  %q = gep %p, %off
+  store.8 %q, %off
+  %x = load.8 %q
+  ret %x
+}
+func @pick(%p, %off) {
+entry:
+  %z = const 0
+  %c = icmp.eq %off, %z
+  condbr %c, zero, other
+zero:
+  br join
+other:
+  %q = gep %p, 8
+  br join
+join:
+  %r = call @leaf, %p, %off
+  %y = load.8 %q
+  %s = add %r, %y
+  ret %s
+}
+func @main(%off) {
+entry:
+  %size = const 256
+  %oid = pmalloc %size
+  %p = direct %oid
+  %r = call @pick, %p, %off
+  ret %r
+}
+`
+
+// TestCompiledMixedCallPaths: compiled and interpreted frames
+// interleave on an instrumented program — in bounds, out of bounds in
+// the compiled leaf, and on the interpreter's own undefined-value fault
+// — with the same outcome as the interpreter alone at every rung under
+// every variant.
+func TestCompiledMixedCallPaths(t *testing.T) {
+	mod, err := ir.Parse(mixedCallProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range optLevels {
+		instrumented, _, err := Apply(mod, lv.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", lv.name, err)
+		}
+		for _, kind := range diffVariants {
+			for _, off := range []uint64{8, 256, 0} {
+				var out [2]string
+				for i, noCompile := range []bool{true, false} {
+					mach := interp.New(instrumented, newEnvCompiled(t, kind, noCompile))
+					got, runErr := mach.Run("main", off)
+					out[i] = fmt.Sprintf("%d %v trapped=%v", got, runErr, hooks.IsSafetyTrap(runErr))
+					if st := mach.CompileStats(); !noCompile && (st.Funcs != 2 || st.Fallbacks != 1) {
+						t.Fatalf("%s %s: %+v, want @main and @leaf compiled, @pick declined", lv.name, kind, st)
+					}
+				}
+				if out[0] != out[1] {
+					t.Errorf("%s %s main(%d): interpreted %q, compiled %q", lv.name, kind, off, out[0], out[1])
+				}
+			}
 		}
 	}
 }

@@ -476,6 +476,125 @@ func TestLoopElisionRate(t *testing.T) {
 	}
 }
 
+// Call shapes genCallProgram can build.
+const (
+	callLoop   = "callee-loop"   // the callee iterates over the object it is handed
+	callFault  = "callee-fault"  // the callee stores past the end of the object it is handed
+	callShared = "shared-callee" // a persistent and a volatile object through the same callees
+)
+
+var callShapes = []string{callLoop, callFault, callShared}
+
+// genCallProgram builds a random inter-procedural program: @poke stores
+// through a pointer parameter at a run-time offset and @sum loops over
+// one, so neither callee knows its object's size and both keep their
+// checks; @main fills a persistent and a volatile object through @poke
+// (several call sites, one callee) and then, by shape, sums one object,
+// sums both through the same @sum, or pokes past the end.
+func genCallProgram(rng *rand.Rand, shape string) string {
+	const objSize = 256
+	var b strings.Builder
+	b.WriteString(`func @poke(%p, %off, %v) {
+entry:
+  %q = gep %p, %off
+  store.8 %q, %v
+  ret %v
+}
+func @sum(%p, %n) {
+entry:
+  %eight = const 8
+  %zero = const 0
+  %one = const 1
+  %slot = malloc %eight
+  store.8 %slot, %zero
+  %acc = malloc %eight
+  store.8 %acc, %zero
+  br loop
+loop:
+  %i = load.8 %slot
+  %off = mul %i, %eight
+  %q = gep %p, %off
+  %x = load.8 %q
+  %a = load.8 %acc
+  %s = add %a, %x
+  store.8 %acc, %s
+  %i2 = add %i, %one
+  store.8 %slot, %i2
+  %c = icmp.lt %i2, %n
+  condbr %c, loop, done
+done:
+  %r = load.8 %acc
+  ret %r
+}
+func @main() {
+entry:
+`)
+	fmt.Fprintf(&b, "  %%size = const %d\n  %%oid = pmalloc %%size\n  %%pm = direct %%oid\n  %%vol = malloc %%size\n", objSize)
+	for i, n := 0, rng.Intn(6)+3; i < n; i++ {
+		obj := []string{"%pm", "%vol"}[rng.Intn(2)]
+		fmt.Fprintf(&b, "  %%o%d = const %d\n  %%v%d = const %d\n  %%w%d = call @poke, %s, %%o%d, %%v%d\n",
+			i, rng.Intn(objSize/8)*8, i, rng.Intn(1000), i, obj, i, i)
+	}
+	fmt.Fprintf(&b, "  %%n = const %d\n", rng.Intn(objSize/8)+1)
+	switch shape {
+	case callLoop:
+		b.WriteString("  %r = call @sum, %pm, %n\n")
+	case callShared:
+		b.WriteString("  %r1 = call @sum, %pm, %n\n  %r2 = call @sum, %vol, %n\n  %r = add %r1, %r2\n")
+	case callFault:
+		fmt.Fprintf(&b, "  %%oob = const %d\n  %%r = call @poke, %%pm, %%oob, %%n\n", objSize+rng.Intn(4)*8)
+	}
+	b.WriteString("  ret %r\n}\n")
+	return b.String()
+}
+
+// TestCallShapeVerdicts: a check inside a callee guards an object only
+// the caller has sized. At every optimization rung and under every
+// variant the call corpus must compute what the uninstrumented program
+// computes natively, and a callee's out-of-bounds store must reach the
+// same verdict — a trap, under the tag-carrying variants.
+func TestCallShapeVerdicts(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 12; trial++ {
+		shape := callShapes[trial%len(callShapes)]
+		src := genCallProgram(rng, shape)
+		mod, err := ir.Parse(src)
+		if err != nil {
+			t.Fatalf("trial %d: generated program invalid: %v\n%s", trial, err, src)
+		}
+		native, err := interp.New(mod, newEnv(t, variant.PMDK)).Run("main")
+		if err != nil {
+			t.Fatalf("trial %d: native run failed: %v\n%s", trial, err, src)
+		}
+		for _, kind := range diffVariants {
+			var base verdict
+			for li, lv := range optLevels {
+				instrumented, _, err := Apply(mod, lv.opts)
+				if err != nil {
+					t.Fatalf("trial %d %s: %v", trial, lv.name, err)
+				}
+				got, runErr := interp.New(instrumented, newEnv(t, kind)).Run("main")
+				v := verdict{errored: runErr != nil, trapped: hooks.IsSafetyTrap(runErr)}
+				if runErr == nil {
+					v.value = got
+				}
+				if li == 0 {
+					base = v
+				} else if v != base {
+					t.Fatalf("trial %d (%s) %s: verdict diverged at %s: %+v vs %s %+v\n%s",
+						trial, shape, kind, lv.name, v, optLevels[0].name, base, src)
+				}
+			}
+			switch {
+			case shape != callFault && (base.errored || base.value != native):
+				t.Errorf("trial %d (%s) %s: %+v, native result %d\n%s", trial, shape, kind, base, native, src)
+			case shape == callFault && (kind == variant.SPP || kind == variant.SPPPacked) && !base.trapped:
+				t.Errorf("trial %d (%s) %s: callee's out-of-bounds store not trapped\n%s", trial, shape, kind, src)
+			}
+		}
+	}
+}
+
 // ablationKernel mirrors the shape of the bench ablation program: an
 // unannotated slot-IV loop over a known-size persistent array, which
 // the loop tier must fully prove.
