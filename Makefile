@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test bench-module race lint-fixtures analysis-smoke bench telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
+.PHONY: check fmt vet test bench-module race lint-fixtures analysis-smoke bench telemetry-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
 
 ## check: everything CI runs — formatting, vet, build+tests, the
 ## tests of the nested benchmarks module (also the compile gate for the
@@ -8,16 +8,13 @@ GO ?= go
 ## concurrency-sensitive packages, the sppc -lint
 ## self-check over the shipped IR fixtures, the per-diagnostic
 ## analysis smoke test, the disabled-telemetry overhead smoke test,
-## the commit-pipeline differential crash tests plus a tiny run of
-## the commit experiment, the compiled-vs-interpreted differential
-## tests with the call-path, call-depth and allocation guards, ten
-## seconds of their fuzz target and a tiny run of the compile
-## experiment, the KV service suite plus a tiny run of the serve
-## experiment, the request-tracing smoke test plus a sampled run of
-## the serve experiment,
-## and the MVCC snapshot, scan-index and hash-layout suite, ten seconds
+## the compiled-vs-interpreted differential tests with the call-path,
+## call-depth and allocation guards, ten seconds of their fuzz target
+## and a tiny run of the compile experiment, the KV service suite
+## plus a tiny run of the serve experiment, the request-tracing smoke
+## test plus a sampled run of the serve experiment, and the MVCC snapshot, scan-index and hash-layout suite, ten seconds
 ## of the scan fuzz target and a tiny run of the scan experiment.
-check: fmt vet test bench-module race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
+check: fmt vet test bench-module race lint-fixtures analysis-smoke telemetry-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -81,14 +78,6 @@ bench:
 telemetry-smoke:
 	$(GO) test -run 'TestDisabledOverheadSmoke|TestWritePromGolden' ./internal/telemetry -count=1
 
-## commit-smoke: the batched commit pipeline's recovery-equivalence
-## proof — pmreorder exploration at every fence under all eight knob
-## combinations plus the batched-vs-unbatched durable-image diff — and
-## a tiny-scale run of the commit experiment end to end.
-commit-smoke:
-	$(GO) test -run 'TestBatchedCommit' ./internal/pmemobj -count=1
-	$(GO) run ./cmd/sppbench -exp commit -scale 0.002 -threads 1,2
-
 ## compile-smoke: the closure-compiled dispatch must agree with the
 ## reference interpreter — results, fault verdicts, durable images —
 ## on every call path too (linked, interpreted callee and caller,
@@ -98,7 +87,8 @@ commit-smoke:
 ## executors and under `sppc -run`, and the allocation guards (a linked
 ## call and a callext allocate nothing, a run of kernel-param's shape
 ## <= 2 objects however many calls it makes); the bitmap allocator must
-## round-trip against the map-based free lists; ten seconds of the
+## round-trip its alloc/free/merge cycle and rebuild every free block
+## exactly once at open; ten seconds of the
 ## compiled-vs-interpreted fuzz target; plus a tiny run of the compile
 ## experiment end to end, which prints the compiled B/run.
 compile-smoke:

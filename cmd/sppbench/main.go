@@ -41,7 +41,6 @@ var experiments = []experiment{
 	{"elide", "static elision tiers: range, loop, persistence (DESIGN.md §13)", bench.Elide},
 	{"scaling", "memory-path concurrency scaling (DESIGN.md §10)", bench.Scaling},
 	{"steal", "cross-arena steal rates under skewed size classes (DESIGN.md §11)", bench.Steal},
-	{"commit", "commit pipeline batching (DESIGN.md §12)", bench.Commit},
 	{"compile", "closure compilation vs reference interpreter (DESIGN.md §14)", bench.Compile},
 	{"serve", "KV service under closed-loop load (DESIGN.md §15)", bench.ServeBench},
 	{"scan", "snapshot reads and range scans under write storm (DESIGN.md §17)", bench.ScanBench},

@@ -138,15 +138,11 @@ func run(args []string, out io.Writer) error {
 	if *doStats {
 		printStats(out, stats)
 		fmt.Fprintln(out, "closure compilation:")
-		if knobs.NoCompile {
-			fmt.Fprintln(out, "  disabled (-no-compile)")
-		} else {
-			cst := mach.CompileAll()
-			fmt.Fprintf(out, "  funcs compiled        %d\n", cst.Funcs)
-			fmt.Fprintf(out, "  thunks emitted        %d\n", cst.Thunks)
-			fmt.Fprintf(out, "  hooks inlined         %d\n", cst.Hooks)
-			fmt.Fprintf(out, "  interp fallbacks      %d\n", cst.Fallbacks)
-		}
+		cst := mach.CompileAll()
+		fmt.Fprintf(out, "  funcs compiled        %d\n", cst.Funcs)
+		fmt.Fprintf(out, "  thunks emitted        %d\n", cst.Thunks)
+		fmt.Fprintf(out, "  hooks inlined         %d\n", cst.Hooks)
+		fmt.Fprintf(out, "  interp fallbacks      %d\n", cst.Fallbacks)
 		fmt.Fprintln(out, "safety linter:")
 		fmt.Fprintf(out, "  diagnostics           %d\n", len(analysis.Lint(mod)))
 	} else {

@@ -22,21 +22,6 @@ func TestRunDemo(t *testing.T) {
 		"-no-hoist", "-no-elide", "-no-lto", "-restore-intptr"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-demo", "-q", "-run", "-no-compile"}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStatsNoCompile: with -no-compile the stats table must say so
-// instead of reporting zero compiled functions.
-func TestStatsNoCompile(t *testing.T) {
-	var buf strings.Builder
-	if err := run([]string{"-demo", "-q", "-stats", "-no-compile"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "disabled (-no-compile)") {
-		t.Errorf("-stats -no-compile output lacks the disabled marker:\n%s", buf.String())
-	}
 }
 
 func TestRunFromFile(t *testing.T) {
@@ -69,15 +54,14 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunawayRecursion: the recursive fixture must end as an error in
-// both executors, not as the runtime's fatal stack overflow.
+// TestRunawayRecursion: the recursive fixture must end as an error, not
+// as the runtime's fatal stack overflow. (The interpreter's depth bound
+// is covered by internal/interp's cross-executor depth tests.)
 func TestRunawayRecursion(t *testing.T) {
 	fx := filepath.Join("..", "..", "examples", "compiler-pass", "recursive.ir")
-	for _, args := range [][]string{{"-q", "-run", fx}, {"-q", "-run", "-no-compile", fx}} {
-		err := run(args, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "call depth exceeded in @f") {
-			t.Errorf("sppc %v = %v, want call depth exceeded in @f", args, err)
-		}
+	err := run([]string{"-q", "-run", fx}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "call depth exceeded in @f") {
+		t.Errorf("sppc -run recursive.ir = %v, want call depth exceeded in @f", err)
 	}
 }
 

@@ -207,19 +207,15 @@ func Ablation(cfg Config) (Table, error) {
 	stormOps := cfg.scaled(400_000)
 	var stormBase time.Duration
 	for i, mode := range []struct {
-		name       string
-		arenas     int
-		noAffinity bool
+		name   string
+		arenas int
 	}{
-		{"sharded arenas (8-goroutine storm)", 0, false},
-		{"1 arena, no lane affinity", 1, true},
+		{"sharded arenas (8-goroutine storm)", 0},
+		{"1 arena", 1},
 	} {
 		envN, err := variant.New(variant.PMDK, variant.Options{
 			PoolSize: cfg.PoolSize,
-			Knobs: engine.Knobs{
-				NArenas:             mode.arenas,
-				DisableLaneAffinity: mode.noAffinity,
-			},
+			Knobs:    engine.Knobs{NArenas: mode.arenas},
 		})
 		if err != nil {
 			return t, err
@@ -280,49 +276,6 @@ func Ablation(cfg Config) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			name, "-", "-", "-", "-", "-",
-			fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000), rel,
-		})
-	}
-
-	// Commit pipeline batching legs on/off: an 8-goroutine transaction
-	// storm with device tracking enabled, so the flush/fence machinery
-	// the batching targets is live (DESIGN.md §12).
-	commitTxs := cfg.scaled(100_000)
-	var commitBase time.Duration
-	for i, mode := range []struct {
-		name                   string
-		dedup, coalesce, fence bool // disable flags
-	}{
-		{"commit batching full (8-goroutine tx storm)", false, false, false},
-		{"no undo-range dedup", true, false, false},
-		{"no flush coalescing", false, true, false},
-		{"no group fencing", false, false, true},
-		{"unbatched commit pipeline", true, true, true},
-	} {
-		envC, err := variant.New(variant.PMDK, variant.Options{
-			PoolSize: cfg.PoolSize,
-			Knobs: engine.Knobs{
-				DisableRangeDedup:    mode.dedup,
-				DisableFlushCoalesce: mode.coalesce,
-				DisableGroupFence:    mode.fence,
-			},
-		})
-		if err != nil {
-			return t, err
-		}
-		envC.Dev.EnableTracking(nil)
-		d, err := commitStorm(envC, 8, commitTxs/8, 16, cfg.Seed)
-		if err != nil {
-			return t, fmt.Errorf("%s: %w", mode.name, err)
-		}
-		rel := "-"
-		if i == 0 {
-			commitBase = d
-		} else if commitBase > 0 {
-			rel = fmt.Sprintf("%.2fx", float64(d)/float64(commitBase))
-		}
-		t.Rows = append(t.Rows, []string{
-			mode.name, "-", "-", "-", "-", "-",
 			fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000), rel,
 		})
 	}

@@ -151,23 +151,6 @@ func TestScalingRuns(t *testing.T) {
 	t.Log("\n" + tab.Format())
 }
 
-func TestCommitRuns(t *testing.T) {
-	tab, err := Commit(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 ranges/tx settings × the {1,2} thread axis.
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[4] == "-" {
-			t.Errorf("ranges=%s g=%s: missing speedup cell", row[0], row[1])
-		}
-	}
-	t.Log("\n" + tab.Format())
-}
-
 func TestTable2Runs(t *testing.T) {
 	tab, err := Table2(tiny())
 	if err != nil {
@@ -225,7 +208,7 @@ func TestAblationRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(ablationConfigs)+12 {
+	if len(tab.Rows) != len(ablationConfigs)+7 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Rows: 0 full, 1 no-elision, 2 no-tracking, 3 no-preempt/hoist,

@@ -17,7 +17,7 @@ import (
 // iteration carries its full complement of SPP hooks — the workload
 // where per-instruction dispatch cost dominates. Both modes run the
 // same instrumented module and must compute the same result; the
-// interpreted rows are what `-no-compile` selects.
+// interpreted rows set Machine.NoCompile.
 func Compile(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
@@ -104,8 +104,8 @@ func Compile(cfg Config) (Table, error) {
 			"all elision tiers disabled so every hook stays live", funcs, thunks, hooks),
 		"B/run is the Go heap a second compiled run allocates (registers and "+
 			"call arguments live on the machine's register stack)",
-		"both rows execute the same instrumented module; interpreted rows are what "+
-			"-no-compile selects, and compiled runs fall back per function when "+
+		"both rows execute the same instrumented module; interpreted rows run the "+
+			"reference interpreter, and compiled runs fall back per function when "+
 			"SSA dominance does not hold")
 	return t, nil
 }

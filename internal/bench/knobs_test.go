@@ -17,3 +17,21 @@ func TestKnobsSurviveTranslation(t *testing.T) {
 		t.Errorf("envOptions dropped knobs: got %+v, want %+v", o.Knobs, cfg.Knobs)
 	}
 }
+
+// TestScalingKeepsKnobs: each Scaling column overrides the arena count
+// and nothing else, so -no-mvcc, -flight or -metrics-sample reach the
+// measured store.
+func TestScalingKeepsKnobs(t *testing.T) {
+	cfg := Config{Knobs: enginetest.Filled()}
+	for _, arenas := range []int{0, 1} {
+		o := scalingOptions(cfg, arenas)
+		if o.NArenas != arenas {
+			t.Errorf("scaling column asked for %d arenas, got %d", arenas, o.NArenas)
+		}
+		want := cfg.Knobs
+		want.NArenas = arenas
+		if o.Knobs != want {
+			t.Errorf("scaling dropped knobs: got %+v, want %+v", o.Knobs, want)
+		}
+	}
+}

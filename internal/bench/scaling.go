@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/kvstore"
 	"repro/internal/pmemobj"
@@ -15,7 +14,7 @@ import (
 // Scaling quantifies the concurrency refactor of the memory path: an
 // alloc/free storm on the native runtime and a 50/50 pmemkv workload,
 // each across the goroutine axis, with the sharded allocator (per-class
-// arenas + lane affinity) against a single serialized arena. On a
+// arenas) against a single serialized arena. On a
 // multi-core runner the sharded column scales with the axis while the
 // single-arena column flattens; on one CPU both stay near the 1-
 // goroutine figure.
@@ -36,14 +35,12 @@ func Scaling(cfg Config) (Table, error) {
 			"sharded Kops/s", "vs 1g", "1 arena Kops/s", "vs 1g"},
 	}
 
-	type mode struct {
-		name       string
-		arenas     int
-		noAffinity bool
-	}
-	modes := []mode{
-		{"sharded", cfg.NArenas, cfg.DisableLaneAffinity},
-		{"1 arena", 1, true},
+	modes := []struct {
+		name   string
+		arenas int
+	}{
+		{"sharded", cfg.NArenas},
+		{"1 arena", 1},
 	}
 
 	type workload struct {
@@ -84,13 +81,7 @@ func Scaling(cfg Config) (Table, error) {
 		for _, g := range axis {
 			row := []string{wl.name, fmt.Sprintf("%d", g)}
 			for _, m := range modes {
-				env, err := variant.New(variant.PMDK, variant.Options{
-					PoolSize: cfg.PoolSize,
-					Knobs: engine.Knobs{
-						NArenas:             m.arenas,
-						DisableLaneAffinity: m.noAffinity,
-					},
-				})
+				env, err := variant.New(variant.PMDK, scalingOptions(cfg, m.arenas))
 				if err != nil {
 					return t, err
 				}
@@ -112,11 +103,18 @@ func Scaling(cfg Config) (Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"sharded = default arena count with lane affinity; 1 arena = single mutex-serialized "+
-			"arena, lanes dispensed only through the shared channel",
+		"sharded = the configured (or default) arena count; 1 arena = single mutex-serialized arena",
 		"kvstore rows sweep the store's bucket-shard count (default 64): fewer shards "+
 			"serialize writers on the per-shard locks regardless of allocator sharding")
 	return t, nil
+}
+
+// scalingOptions is the environment of one Scaling column: the
+// caller's options with only the arena count overridden.
+func scalingOptions(cfg Config, arenas int) variant.Options {
+	o := cfg.envOptions(0)
+	o.NArenas = arenas
+	return o
 }
 
 // allocStorm runs workers goroutines, each performing perWorker

@@ -12,35 +12,14 @@ package engine
 
 import "flag"
 
-// Knobs are the volatile engine knobs: they shape rebuilt in-memory
-// structure and dispatch, never the persistent layout, so any pool may
-// be opened under any combination.
+// Knobs are the volatile engine knobs — tuning and observability: they
+// shape rebuilt in-memory structure, the kvstore read path and
+// telemetry, never the persistent layout, so any pool may be opened
+// under any combination.
 type Knobs struct {
 	// NArenas is the number of heap arenas (independent allocator
 	// shards); the pool default when zero.
 	NArenas int
-	// DisableLaneAffinity turns off the worker-affine lane cache and
-	// dispenses every lane through the shared channel.
-	DisableLaneAffinity bool
-	// DisableRangeDedup makes AddRange snapshot every requested range
-	// in full instead of only the sub-ranges not yet covered by this
-	// transaction's interval set.
-	DisableRangeDedup bool
-	// DisableFlushCoalesce makes the commit pipeline's flush
-	// accumulators pass each flush straight to the device instead of
-	// merging duplicate and adjacent cachelines per fence epoch.
-	DisableFlushCoalesce bool
-	// DisableGroupFence gives every committer a private fence instead
-	// of sharing one through the device's epoch combiner.
-	DisableGroupFence bool
-	// DisableBitmapAlloc turns off the hierarchical free-bitmap
-	// size-class pools and serves every block from the map-based free
-	// lists; both modes rebuild from the same persistent headers.
-	DisableBitmapAlloc bool
-	// NoCompile makes the interpreter execute IR by walking
-	// instructions instead of through closure-compiled functions (the
-	// interpreter is the reference semantics).
-	NoCompile bool
 	// NoMVCC turns off multi-version snapshot isolation in the
 	// kvstore: reads take the per-shard RWMutex like writers instead of
 	// running lock-free against published copy-on-write roots, and
@@ -85,19 +64,13 @@ type Geometry struct {
 // field missing here, and RegisterFlags is driven off the same table,
 // so the mapping cannot drift.
 var knobFlags = map[string]string{
-	"NArenas":              "arenas",
-	"DisableLaneAffinity":  "no-affinity",
-	"DisableRangeDedup":    "no-range-dedup",
-	"DisableFlushCoalesce": "no-flush-coalesce",
-	"DisableGroupFence":    "no-group-fence",
-	"DisableBitmapAlloc":   "no-bitmap-alloc",
-	"NoCompile":            "no-compile",
-	"NoMVCC":               "no-mvcc",
-	"Telemetry":            "metrics",
-	"FlightRecorder":       "flight",
-	"TraceSample":          "trace-sample",
-	"SlowTraceUS":          "slow-threshold",
-	"MetricsSample":        "metrics-sample",
+	"NArenas":        "arenas",
+	"NoMVCC":         "no-mvcc",
+	"Telemetry":      "metrics",
+	"FlightRecorder": "flight",
+	"TraceSample":    "trace-sample",
+	"SlowTraceUS":    "slow-threshold",
+	"MetricsSample":  "metrics-sample",
 }
 
 // RegisterFlags registers one flag per Knobs field on fs and returns
@@ -107,18 +80,6 @@ func RegisterFlags(fs *flag.FlagSet) *Knobs {
 	k := &Knobs{}
 	fs.IntVar(&k.NArenas, knobFlags["NArenas"], 0,
 		"allocator arena count (0 = pool default)")
-	fs.BoolVar(&k.DisableLaneAffinity, knobFlags["DisableLaneAffinity"], false,
-		"disable the worker-affine lane cache")
-	fs.BoolVar(&k.DisableRangeDedup, knobFlags["DisableRangeDedup"], false,
-		"disable undo-range interval dedup in transactions")
-	fs.BoolVar(&k.DisableFlushCoalesce, knobFlags["DisableFlushCoalesce"], false,
-		"disable commit-time flush coalescing")
-	fs.BoolVar(&k.DisableGroupFence, knobFlags["DisableGroupFence"], false,
-		"disable the cross-lane group-fence combiner")
-	fs.BoolVar(&k.DisableBitmapAlloc, knobFlags["DisableBitmapAlloc"], false,
-		"disable the free-bitmap size-class pools; use map-based free lists")
-	fs.BoolVar(&k.NoCompile, knobFlags["NoCompile"], false,
-		"disable closure compilation; run every function in the reference interpreter")
 	fs.BoolVar(&k.NoMVCC, knobFlags["NoMVCC"], false,
 		"disable MVCC snapshot isolation; kvstore reads take shard locks")
 	fs.BoolVar(&k.Telemetry, knobFlags["Telemetry"], false,

@@ -3,7 +3,10 @@ package engine
 import (
 	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -45,5 +48,39 @@ func TestRegisterFlagsCoversEveryKnob(t *testing.T) {
 		if got.IsZero() {
 			t.Errorf("Knobs.%s: flag -%s did not populate the field", field.Name, name)
 		}
+	}
+}
+
+// TestReadmeListsEveryKnobFlag keeps README's engine-flag table (the
+// `| flag | effect |` table) equal to knobFlags: a flag added, renamed
+// or removed here must be documented there, and the table may list
+// nothing else.
+func TestReadmeListsEveryKnobFlag(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(readme), "\n")
+	start := slices.Index(lines, "| flag | effect |")
+	if start < 0 {
+		t.Fatal("README has no `| flag | effect |` table")
+	}
+	var documented []string
+	for _, line := range lines[start+2:] {
+		if !strings.HasPrefix(line, "| `-") {
+			break
+		}
+		cell := strings.TrimPrefix(line, "| `-")
+		cell = cell[:strings.IndexByte(cell, '`')]
+		documented = append(documented, strings.Fields(cell)[0])
+	}
+	var want []string
+	for _, name := range knobFlags {
+		want = append(want, name)
+	}
+	slices.Sort(documented)
+	slices.Sort(want)
+	if !slices.Equal(documented, want) {
+		t.Errorf("README engine-flag table lists %v, knobFlags has %v", documented, want)
 	}
 }

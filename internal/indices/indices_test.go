@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/telemetry"
 
@@ -276,43 +275,43 @@ func TestRbtreeInvariants(t *testing.T) {
 
 // TestRbtreeUndoBytes: an operation snapshots each node it writes once.
 // The per-operation node list does that itself, so the transaction's
-// range dedup has nothing left to absorb — undo bytes are the same with
-// it on and off — and the totals are the ones the map-keyed list this
-// replaced produced for the same operations.
+// range dedup has nothing left to absorb — it skips no byte — and the
+// totals are the ones the map-keyed list this replaced produced for the
+// same operations.
 func TestRbtreeUndoBytes(t *testing.T) {
 	if !telemetry.On() {
 		telemetry.Enable()
 		defer telemetry.Disable()
 	}
 	undo := telemetry.Default.Histogram("spp_tx_undo_bytes", "")
-	for _, noDedup := range []bool{false, true} {
-		env, err := variant.New(variant.SPP, variant.Options{PoolSize: 64 << 20,
-			Knobs: engine.Knobs{DisableRangeDedup: noDedup}})
-		if err != nil {
+	skipped := telemetry.Default.Counter("spp_tx_dedup_bytes_total", "")
+	env, err := variant.New(variant.SPP, variant.Options{PoolSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New("rbtree", env.RT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := rand.New(rand.NewSource(5)).Perm(20000)
+	before, skippedBefore := undo.Sum(), skipped.Load()
+	for _, k := range keys {
+		if err := m.Insert(uint64(k), uint64(k)); err != nil {
 			t.Fatal(err)
 		}
-		m, err := New("rbtree", env.RT)
-		if err != nil {
+	}
+	inserted := undo.Sum()
+	for _, k := range keys[:10000] {
+		if _, err := m.Remove(uint64(k)); err != nil {
 			t.Fatal(err)
 		}
-		keys := rand.New(rand.NewSource(5)).Perm(20000)
-		before := undo.Sum()
-		for _, k := range keys {
-			if err := m.Insert(uint64(k), uint64(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inserted := undo.Sum()
-		for _, k := range keys[:10000] {
-			if _, err := m.Remove(uint64(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ins, rem := inserted-before, undo.Sum()-inserted
-		if ins != 6446272 || rem != 3745472 {
-			t.Errorf("no-range-dedup=%v: undo bytes %d (insert) %d (remove), want 6446272 and 3745472",
-				noDedup, ins, rem)
-		}
+	}
+	ins, rem := inserted-before, undo.Sum()-inserted
+	if ins != 6446272 || rem != 3745472 {
+		t.Errorf("undo bytes %d (insert) %d (remove), want 6446272 and 3745472", ins, rem)
+	}
+	if d := skipped.Load() - skippedBefore; d != 0 {
+		t.Errorf("range dedup skipped %d bytes, want 0", d)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/telemetry"
 	"repro/internal/variant"
 )
@@ -50,8 +49,8 @@ out:
 	}
 }
 
-// TestNoCompileKnob checks both selection paths: the variant option and
-// the machine field.
+// TestNoCompileKnob checks the interpreter's one selector: a machine
+// with NoCompile set runs every function interpreted.
 func TestNoCompileKnob(t *testing.T) {
 	src := `
 func @main(%a) {
@@ -59,14 +58,8 @@ entry:
   ret %a
 }
 `
-	e, err := variant.New(variant.PMDK, variant.Options{PoolSize: 16 << 20, Knobs: engine.Knobs{NoCompile: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := New(parse(t, src), e)
-	if !mach.NoCompile {
-		t.Fatal("Options.NoCompile not threaded into the machine")
-	}
+	mach := New(parse(t, src), env(t, variant.PMDK))
+	mach.NoCompile = true
 	if got, err := mach.Run("main", 7); err != nil || got != 7 {
 		t.Fatalf("interpreted main(7) = %d, %v", got, err)
 	}

@@ -37,10 +37,10 @@ type Machine struct {
 	steps    int
 	MaxSteps int
 
-	// NoCompile pins execution to the reference interpreter. It is
-	// initialized from the environment's option and may be flipped
-	// before the first Run; compiled functions are cached, so flipping
-	// it afterwards only affects functions not yet executed.
+	// NoCompile pins execution to the reference interpreter, the
+	// differential oracle for the compiled dispatch. Set it before the
+	// first Run; compiled functions are cached, so flipping it
+	// afterwards only affects functions not yet executed.
 	NoCompile bool
 	compiled  map[string]*compiledFunc
 	cstats    CompileStats
@@ -89,9 +89,8 @@ func New(mod *ir.Module, env *variant.Env) *Machine {
 		// Both SPP layouts carry tags in the pointer (pmemobj.Config.SPP
 		// is set for either); the packed-oid variant must not degrade
 		// the tag hooks to identity.
-		isSPP:     env.Kind == variant.SPP || env.Kind == variant.SPPPacked,
-		MaxSteps:  10_000_000,
-		NoCompile: env.NoCompile(),
+		isSPP:    env.Kind == variant.SPP || env.Kind == variant.SPPPacked,
+		MaxSteps: 10_000_000,
 	}
 	m.externals = map[string]ExternalFn{
 		// ext_store8(p, v): an uninstrumented library writing through a

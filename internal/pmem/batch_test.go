@@ -74,7 +74,7 @@ func TestFlushAccumCoalescesLines(t *testing.T) {
 	p := NewPool("accum", 1<<16)
 	sink := &traceCounter{}
 	p.EnableTracking(sink)
-	a := NewFlushAccum(p, true)
+	a := NewFlushAccum(p)
 	// Twelve requests inside two cachelines plus one distant line.
 	for i := uint64(0); i < 8; i++ {
 		a.Flush(i*8, 8) // all in lines 0..1? offsets 0..63: line 0
@@ -101,7 +101,7 @@ func TestFlushAccumCoalescesLines(t *testing.T) {
 func TestFlushAccumLeftwardMergeKeepsTail(t *testing.T) {
 	p := NewPool("accum-left", 1<<16)
 	p.EnableTracking(nil)
-	a := NewFlushAccum(p, true)
+	a := NewFlushAccum(p)
 	p.WriteU64(64, 1)
 	p.WriteU64(128, 2)
 	p.WriteU64(0, 3)
@@ -125,7 +125,7 @@ func TestFlushAccumLeftwardMergeKeepsTail(t *testing.T) {
 func TestFlushAccumDurability(t *testing.T) {
 	p := NewPool("accum-durable", 1<<16)
 	p.EnableTracking(nil)
-	a := NewFlushAccum(p, true)
+	a := NewFlushAccum(p)
 	p.WriteU64(100, 42)
 	p.WriteU64(9000, 43)
 	a.Flush(100, 8)
@@ -140,22 +140,6 @@ func TestFlushAccumDurability(t *testing.T) {
 	copy(dup.Data(), img)
 	if dup.ReadU64(100) != 42 || dup.ReadU64(9000) != 43 {
 		t.Error("accumulated flushes not durable after drain+fence")
-	}
-}
-
-func TestFlushAccumPassthroughWhenDisabled(t *testing.T) {
-	p := NewPool("accum-off", 1<<16)
-	sink := &traceCounter{}
-	p.EnableTracking(sink)
-	a := NewFlushAccum(p, false)
-	a.Flush(0, 8)
-	a.Flush(8, 8)
-	if sink.flushes != 2 {
-		t.Fatalf("pass-through issued %d flushes, want 2", sink.flushes)
-	}
-	a.Drain() // nothing accumulated
-	if sink.flushes != 2 {
-		t.Fatalf("drain in pass-through mode issued flushes")
 	}
 }
 

@@ -461,30 +461,18 @@ func (p *Pool) GroupFence() {
 // once per line per fence" discipline PMDK's FLUSH macros implement
 // with a dirty-line set. An accumulator belongs to one goroutine; the
 // typical owner is a transaction commit or a redo publication.
-//
-// When coalescing is disabled (or the device is in the all-off fast
-// mode, where Flush is free anyway) requests pass straight through, so
-// callers need no mode branches.
 type FlushAccum struct {
 	p        *Pool
-	coalesce bool
 	lines    []flushRange // cacheline-rounded, merged opportunistically
 	requests int          // raw requests this epoch
 }
 
-// NewFlushAccum returns an accumulator over p. With coalesce false the
-// accumulator is a transparent pass-through.
-func NewFlushAccum(p *Pool, coalesce bool) *FlushAccum {
-	return &FlushAccum{p: p, coalesce: coalesce}
-}
+// NewFlushAccum returns an accumulator over p.
+func NewFlushAccum(p *Pool) *FlushAccum { return &FlushAccum{p: p} }
 
 // Flush records a flush request for [off, off+size).
 func (a *FlushAccum) Flush(off, size uint64) {
 	if size == 0 {
-		return
-	}
-	if !a.coalesce {
-		a.p.Flush(off, size)
 		return
 	}
 	if a.p.gates.Load() == 0 {

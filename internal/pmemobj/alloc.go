@@ -56,16 +56,15 @@ type freeRef struct {
 
 // arena is one lockable shard of the heap.
 type arena struct {
-	mu      sync.Mutex
-	lo, hi  uint64
+	mu     sync.Mutex
+	lo, hi uint64
+	// bm holds every free block up to smallClassMax in per-class stacks
+	// indexed by hierarchical bitmaps (fbits.go); free and freeSet list
+	// only the rare larger blocks.
+	bm      *classPools
 	free    map[uint64][]uint64 // block size -> block offsets
 	freeSet map[uint64]freeRef  // block offset -> list position
-	// bm, when non-nil, is the bitmap fast path (fbits.go): blocks up
-	// to smallClassMax live in per-class stacks indexed by hierarchical
-	// bitmaps instead of the maps above, which then hold only the rare
-	// large blocks.
-	bm    *classPools
-	nFree int // live free-listed blocks (both structures)
+	nFree   int                 // live free-listed blocks (both structures)
 	// reserved maps the start offset of every in-flux block owned by
 	// this arena to its current span. See the package comment above.
 	reserved map[uint64]uint64
@@ -75,7 +74,7 @@ func (a *arena) contains(off uint64) bool { return off >= a.lo && off < a.hi }
 
 func (a *arena) addFree(off, size uint64) {
 	a.nFree++
-	if a.bm != nil && size <= smallClassMax {
+	if size <= smallClassMax {
 		a.bm.push(a.lo, off, size)
 		return
 	}
@@ -84,12 +83,12 @@ func (a *arena) addFree(off, size uint64) {
 	a.free[size] = append(bucket, off)
 }
 
-// removeFree unlinks a free block in O(1). In the bitmap fast path a
-// small block's slot bit is cleared and its stack entry left to lazy
-// discard; otherwise the freeSet index names its bucket slot and the
-// bucket's last element is swapped into the hole.
+// removeFree unlinks a free block in O(1). A small block's slot bit is
+// cleared and its stack entry left to lazy discard; for a large block
+// the freeSet index names its bucket slot and the bucket's last element
+// is swapped into the hole.
 func (a *arena) removeFree(off, size uint64) {
-	if a.bm != nil && size <= smallClassMax {
+	if size <= smallClassMax {
 		if a.bm.take(a.lo, off) {
 			a.nFree--
 		}
@@ -118,7 +117,7 @@ func (a *arena) removeFree(off, size uint64) {
 // freeSizeAt reports whether a live free-listed block starts at off,
 // and its size. Caller holds a.mu.
 func (a *arena) freeSizeAt(p *Pool, off uint64) (uint64, bool) {
-	if a.bm != nil && a.bm.testSlot(a.lo, off) {
+	if a.bm.testSlot(a.lo, off) {
 		// The slot bit guarantees the persistent header is the free
 		// size (see fbits.go).
 		return p.dev.ReadU64(off), true
@@ -132,17 +131,12 @@ func (a *arena) freeSizeAt(p *Pool, off uint64) (uint64, bool) {
 // pick returns the best free block for a request of need bytes: exact
 // fit if available, else the smallest larger block. Caller holds a.mu.
 func (a *arena) pick(p *Pool, need uint64) (size, off uint64, ok bool) {
-	if a.bm != nil {
-		if need <= smallClassMax {
-			if off, size, ok := a.bm.pickSmall(p, a.lo, need); ok {
-				return size, off, true
-			}
+	if need <= smallClassMax {
+		if off, size, ok := a.bm.pickSmall(p, a.lo, need); ok {
+			return size, off, true
 		}
-		// Small classes dry (or the request is large): fall through to
-		// the map-based large lists.
-	} else if bucket := a.free[need]; len(bucket) > 0 {
-		return need, bucket[len(bucket)-1], true
 	}
+	// Small classes dry (or the request is large): the large lists.
 	best := ^uint64(0)
 	for s := range a.free {
 		if s >= need && s < best {
@@ -163,9 +157,7 @@ func (a *arena) reset() {
 	a.free = map[uint64][]uint64{}
 	a.freeSet = map[uint64]freeRef{}
 	a.nFree = 0
-	if a.bm != nil {
-		a.bm.reset()
-	}
+	a.bm.reset()
 }
 
 // arenaHint is a worker's remembered arena, recycled through a
@@ -192,7 +184,7 @@ type heap struct {
 	arenaMet []*telemetry.Counter
 }
 
-func (h *heap) init(lo, hi uint64, nArenas int, bitmap bool) {
+func (h *heap) init(lo, hi uint64, nArenas int) {
 	h.lo, h.hi = lo, hi
 	total := hi - lo
 	n := nArenas
@@ -218,9 +210,7 @@ func (h *heap) init(lo, hi uint64, nArenas int, bitmap bool) {
 		if i == n-1 {
 			a.hi = hi
 		}
-		if bitmap {
-			a.bm = newClassPools(a.hi - a.lo)
-		}
+		a.bm = newClassPools(a.hi - a.lo)
 		a.reset()
 		a.reserved = map[uint64]uint64{}
 	}

@@ -20,19 +20,13 @@ func (p *Pool) putScratch(s *commitScratch) {
 	p.scratch.Put(s)
 }
 
-// fence orders all previously issued flushes. With group fencing on,
-// the fence is shared with concurrent committers through the device's
-// epoch combiner; a return still guarantees that every flush this
-// goroutine issued before the call is durable.
-func (p *Pool) fence() {
-	if p.groupFence {
-		p.dev.GroupFence()
-	} else {
-		p.dev.Fence()
-	}
-}
+// fence orders all previously issued flushes. The fence is shared with
+// concurrent committers through the device's epoch combiner; a return
+// still guarantees that every flush this goroutine issued before the
+// call is durable.
+func (p *Pool) fence() { p.dev.GroupFence() }
 
-// persist is Flush+fence on the pool's fence policy.
+// persist is Flush+fence through the group combiner.
 func (p *Pool) persist(off, size uint64) {
 	p.dev.Flush(off, size)
 	p.fence()

@@ -9,19 +9,10 @@ import (
 	"repro/internal/pmemcheck"
 )
 
-// knobConfig builds a Config for knob mask m: bit 0 disables range
-// dedup, bit 1 flush coalescing, bit 2 group fencing. The UUID is
-// pinned so images are comparable across runs.
-func knobConfig(m int) Config {
-	return Config{
-		UUID: 7,
-		Knobs: Knobs{
-			NArenas:              1,
-			DisableRangeDedup:    m&1 != 0,
-			DisableFlushCoalesce: m&2 != 0,
-			DisableGroupFence:    m&4 != 0,
-		},
-	}
+// stormConfig pins the UUID so images are comparable across runs, and
+// one arena so the storm's allocations land deterministically.
+func stormConfig() Config {
+	return Config{UUID: 7, Knobs: Knobs{NArenas: 1}}
 }
 
 // batchCrashStorm drives a deterministic mix of committed transactions
@@ -76,160 +67,149 @@ func batchCrashStorm(p *Pool, rootOff, dataOff uint64, txs int) error {
 }
 
 // TestBatchedCommitCrashEquivalenceAllKnobs explores every crash point
-// (every fence, pmreorder-style) of the storm under each of the eight
-// knob combinations. Whatever the batching does to the flush/fence
-// stream, recovery from any power-loss image must yield an agreeing
-// generation/cell pair and a walkable heap.
+// (every fence, pmreorder-style) of the storm through the one commit
+// pipeline — undo-range dedup, flush coalescing and the group fence all
+// on. Whatever the batching does to the flush/fence stream, recovery
+// from any power-loss image must yield an agreeing generation/cell pair
+// and a walkable heap.
+//
+// The subtest keeps the name of the all-legs-on knob mask, which is now
+// the only pipeline.
 func TestBatchedCommitCrashEquivalenceAllKnobs(t *testing.T) {
-	for mask := 0; mask < 8; mask++ {
-		mask := mask
-		t.Run(fmt.Sprintf("mask=%d", mask), func(t *testing.T) {
-			t.Parallel()
-			cfg := knobConfig(mask)
-			// Tight log geometry so the storm also crosses the redo- and
-			// undo-extension paths.
-			cfg.NLanes = 2
-			cfg.RedoEntries = 4
-			cfg.UndoBytes = 256
-			dev := pmem.NewPool("batch-crash", 1<<20)
-			p, err := Create(dev, nil, testBase, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			root, err := p.Root(16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dev.Persist(root.Off, 16)
-			data, err := p.Alloc(2048)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("mask=0", batchedCommitCrashEquivalence)
+}
 
-			base := make([]byte, dev.Size())
-			copy(base, dev.Data())
-			tr := pmemcheck.NewTracker()
-			dev.EnableTracking(tr)
-			const txs = 6
-			if err := batchCrashStorm(p, root.Off, data.Off, txs); err != nil {
-				t.Fatal(err)
-			}
-			dev.DisableTracking()
+func batchedCommitCrashEquivalence(t *testing.T) {
+	cfg := stormConfig()
+	// Tight log geometry so the storm also crosses the redo- and
+	// undo-extension paths.
+	cfg.NLanes = 2
+	cfg.RedoEntries = 4
+	cfg.UndoBytes = 256
+	dev := pmem.NewPool("batch-crash", 1<<20)
+	p, err := Create(dev, nil, testBase, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := p.Root(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Persist(root.Off, 16)
+	data, err := p.Alloc(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			rep := pmemcheck.Analyze(tr.Events())
-			if !rep.Clean() {
-				t.Fatalf("protocol violations: %v", rep.Violations[0])
-			}
-			states, err := pmemcheck.Explore(base, tr.Events(),
-				pmemcheck.ExploreOptions{EveryNthFence: 1, MaxSingles: 3, MaxStates: 2000},
-				func(img []byte) error {
-					d2 := pmem.NewPool("batch-crash-img", uint64(len(img)))
-					copy(d2.Data(), img)
-					q, err := OpenConfig(d2, nil, testBase, cfg)
-					if err != nil {
-						return err
-					}
-					gen := d2.ReadU64(root.Off)
-					cell := d2.ReadU64(root.Off + 8)
-					if cell != gen*1000 {
-						return fmt.Errorf("torn root: gen=%d cell=%d", gen, cell)
-					}
-					if gen > txs {
-						return fmt.Errorf("impossible generation %d", gen)
-					}
-					if err := walkCheck(q); err != nil {
-						return err
-					}
-					// Recovery must be repeatable.
-					if _, err := OpenConfig(d2, nil, testBase, cfg); err != nil {
-						return fmt.Errorf("second recovery: %w", err)
-					}
-					return nil
-				})
+	base := make([]byte, dev.Size())
+	copy(base, dev.Data())
+	tr := pmemcheck.NewTracker()
+	dev.EnableTracking(tr)
+	const txs = 6
+	if err := batchCrashStorm(p, root.Off, data.Off, txs); err != nil {
+		t.Fatal(err)
+	}
+	dev.DisableTracking()
+
+	rep := pmemcheck.Analyze(tr.Events())
+	if !rep.Clean() {
+		t.Fatalf("protocol violations: %v", rep.Violations[0])
+	}
+	states, err := pmemcheck.Explore(base, tr.Events(),
+		pmemcheck.ExploreOptions{EveryNthFence: 1, MaxSingles: 3, MaxStates: 2000},
+		func(img []byte) error {
+			d2 := pmem.NewPool("batch-crash-img", uint64(len(img)))
+			copy(d2.Data(), img)
+			q, err := OpenConfig(d2, nil, testBase, cfg)
 			if err != nil {
-				t.Fatalf("crash exploration: %v", err)
+				return err
 			}
-			if states == 0 {
-				t.Fatal("explored no states")
+			gen := d2.ReadU64(root.Off)
+			cell := d2.ReadU64(root.Off + 8)
+			if cell != gen*1000 {
+				return fmt.Errorf("torn root: gen=%d cell=%d", gen, cell)
 			}
+			if gen > txs {
+				return fmt.Errorf("impossible generation %d", gen)
+			}
+			if err := walkCheck(q); err != nil {
+				return err
+			}
+			// Recovery must be repeatable.
+			if _, err := OpenConfig(d2, nil, testBase, cfg); err != nil {
+				return fmt.Errorf("second recovery: %w", err)
+			}
+			return nil
 		})
+	if err != nil {
+		t.Fatalf("crash exploration: %v", err)
+	}
+	if states == 0 {
+		t.Fatal("explored no states")
 	}
 }
 
-// TestBatchedCommitDurableImageMatchesUnbatched runs the same committed
-// workload with the full pipeline and with every leg disabled, and
-// requires byte-identical durable images over the header and heap —
-// batching may reorder and merge flushes, but never change what ends up
-// durable. Lane bytes are excluded: dedup legitimately writes fewer
-// undo entries there.
+// TestBatchedCommitDurableImageMatchesUnbatched checks that the batched
+// pipeline, which reorders and merges flushes, still leaves nothing
+// behind: once the storm's last Commit returns, the durable image equals
+// the working image byte for byte over the header and the heap. It also
+// pins the pipeline's deterministic flush/fence traffic as upper bounds,
+// at exactly the counts it issues: an undo range snapshotted twice adds
+// fences, and an uncoalesced commit flushes duplicate lines.
 func TestBatchedCommitDurableImageMatchesUnbatched(t *testing.T) {
-	type result struct {
-		img              []byte
-		heapOff, heapEnd uint64
-		rep              pmemcheck.Report
+	const (
+		maxFences     = 174
+		maxDupFlushes = 4
+	)
+	// Default log geometry: the workload stays inside the lane logs.
+	dev := pmem.NewPool("batch-img", 1<<22)
+	p, err := Create(dev, nil, testBase, stormConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(mask int) result {
-		t.Helper()
-		// Default log geometry: the workload must stay inside the lane
-		// logs, since extension blocks would allocate heap differently
-		// per knob setting.
-		dev := pmem.NewPool("batch-img", 1<<22)
-		p, err := Create(dev, nil, testBase, knobConfig(mask))
-		if err != nil {
-			t.Fatal(err)
-		}
-		root, err := p.Root(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.Persist(root.Off, 16)
-		data, err := p.Alloc(2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := pmemcheck.NewTracker()
-		dev.EnableTracking(tr)
-		if err := batchCrashStorm(p, root.Off, data.Off, 8); err != nil {
-			t.Fatal(err)
-		}
-		img, err := dev.DurableImage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev.DisableTracking()
-		return result{img, p.heapOff, p.heapEnd, pmemcheck.Analyze(tr.Events())}
+	root, err := p.Root(16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batched, unbatched := run(0), run(7)
-	if batched.heapOff != unbatched.heapOff || batched.heapEnd != unbatched.heapEnd {
-		t.Fatalf("heap layout differs: [%#x,%#x) vs [%#x,%#x)",
-			batched.heapOff, batched.heapEnd, unbatched.heapOff, unbatched.heapEnd)
+	dev.Persist(root.Off, 16)
+	data, err := p.Alloc(2048)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr := pmemcheck.NewTracker()
+	dev.EnableTracking(tr)
+	if err := batchCrashStorm(p, root.Off, data.Off, 8); err != nil {
+		t.Fatal(err)
+	}
+	img, err := dev.DurableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.DisableTracking()
 	regions := []struct {
 		name   string
 		lo, hi uint64
 	}{
 		{"header", 0, headerSize},
-		{"heap", batched.heapOff, batched.heapEnd},
+		{"heap", p.heapOff, p.heapEnd},
 	}
 	for _, r := range regions {
-		a, b := batched.img[r.lo:r.hi], unbatched.img[r.lo:r.hi]
-		if !bytes.Equal(a, b) {
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%s region differs at offset %#x: batched %#x vs unbatched %#x",
-						r.name, r.lo+uint64(i), a[i], b[i])
+		durable, working := img[r.lo:r.hi], dev.Data()[r.lo:r.hi]
+		if !bytes.Equal(durable, working) {
+			for i := range durable {
+				if durable[i] != working[i] {
+					t.Fatalf("%s region not durable at offset %#x: durable %#x, working %#x",
+						r.name, r.lo+uint64(i), durable[i], working[i])
 				}
 			}
 		}
 	}
-	// The batching must not add flush traffic: duplicate-line flushes
-	// per fence epoch can only go down when coalescing is on.
-	if batched.rep.DuplicateLineFlushes > unbatched.rep.DuplicateLineFlushes {
-		t.Errorf("batched pipeline flushed more duplicate lines (%d) than unbatched (%d)",
-			batched.rep.DuplicateLineFlushes, unbatched.rep.DuplicateLineFlushes)
+	rep := pmemcheck.Analyze(tr.Events())
+	t.Logf("%d fences, %d duplicate-line flushes", rep.Fences, rep.DuplicateLineFlushes)
+	if rep.Fences > maxFences {
+		t.Errorf("storm issued %d fences, want <= %d", rep.Fences, maxFences)
 	}
-	if batched.rep.Fences > unbatched.rep.Fences {
-		t.Errorf("batched pipeline fenced more (%d) than unbatched (%d)",
-			batched.rep.Fences, unbatched.rep.Fences)
+	if rep.DuplicateLineFlushes > maxDupFlushes {
+		t.Errorf("storm flushed %d duplicate lines, want <= %d", rep.DuplicateLineFlushes, maxDupFlushes)
 	}
 }

@@ -96,91 +96,40 @@ func TestAddRangeDedupSkipsCoveredBytes(t *testing.T) {
 }
 
 // TestAddRangeDedupRollbackEquivalence mutates overlapping ranges and
-// aborts; dedup and dense paths must both restore the original bytes.
+// aborts; the deduplicated undo log must restore the original bytes.
 func TestAddRangeDedupRollbackEquivalence(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		p := dedupPool(t, Config{Knobs: Knobs{DisableRangeDedup: disable}})
-		oid, err := p.Alloc(1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev := p.Device()
-		for i := uint64(0); i < 128; i++ {
-			dev.WriteU64(oid.Off+i*8, i)
-		}
-		dev.Persist(oid.Off, 1024)
-
-		tx := p.Begin()
-		// Overlapping adds interleaved with stores: later adds must not
-		// re-snapshot bytes the tx already dirtied.
-		if err := tx.AddRange(oid.Off, 512); err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 64; i++ {
-			dev.WriteU64(oid.Off+i*8, 0xdead)
-		}
-		if err := tx.AddRange(oid.Off+256, 512); err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(64); i < 96; i++ { // words 64..95 stay inside [256,768)
-			dev.WriteU64(oid.Off+i*8, 0xbeef)
-		}
-		if err := tx.Abort(); err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < 128; i++ {
-			if got := dev.ReadU64(oid.Off + i*8); got != i {
-				t.Fatalf("disable=%v: word %d = %#x after abort, want %d", disable, i, got, i)
-			}
-		}
-	}
-}
-
-func TestBatchKnobsThread(t *testing.T) {
 	p := dedupPool(t, Config{})
-	if !p.RangeDedup() || !p.FlushCoalesce() || !p.GroupFence() {
-		t.Error("batching not on by default")
+	oid, err := p.Alloc(1024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p2 := dedupPool(t, Config{Knobs: Knobs{DisableRangeDedup: true, DisableFlushCoalesce: true, DisableGroupFence: true}})
-	if p2.RangeDedup() || p2.FlushCoalesce() || p2.GroupFence() {
-		t.Error("disable knobs did not thread through")
+	dev := p.Device()
+	for i := uint64(0); i < 128; i++ {
+		dev.WriteU64(oid.Off+i*8, i)
 	}
-}
+	dev.Persist(oid.Off, 1024)
 
-// TestCommitBatchedAllKnobCombos runs the same tx workload under every
-// knob combination and checks committed state and rollback behavior.
-func TestCommitBatchedAllKnobCombos(t *testing.T) {
-	for mask := 0; mask < 8; mask++ {
-		cfg := Config{Knobs: Knobs{
-			DisableRangeDedup:    mask&1 != 0,
-			DisableFlushCoalesce: mask&2 != 0,
-			DisableGroupFence:    mask&4 != 0,
-		}}
-		p := dedupPool(t, cfg)
-		oid, err := p.Alloc(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx := p.Begin()
-		if err := tx.AddRange(oid.Off, 512); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.AddRange(oid.Off+64, 64); err != nil {
-			t.Fatal(err)
-		}
-		p.Device().WriteU64(oid.Off, 0x1234)
-		inner, err := tx.Alloc(128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatalf("mask %d: %v", mask, err)
-		}
-		if got := p.Device().ReadU64(oid.Off); got != 0x1234 {
-			t.Fatalf("mask %d: committed store lost (%#x)", mask, got)
-		}
-		if _, err := p.validateOid(inner); err != nil {
-			t.Fatalf("mask %d: tx alloc not live after commit: %v", mask, err)
+	tx := p.Begin()
+	// Overlapping adds interleaved with stores: later adds must not
+	// re-snapshot bytes the tx already dirtied.
+	if err := tx.AddRange(oid.Off, 512); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		dev.WriteU64(oid.Off+i*8, 0xdead)
+	}
+	if err := tx.AddRange(oid.Off+256, 512); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(64); i < 96; i++ { // words 64..95 stay inside [256,768)
+		dev.WriteU64(oid.Off+i*8, 0xbeef)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 128; i++ {
+		if got := dev.ReadU64(oid.Off + i*8); got != i {
+			t.Fatalf("word %d = %#x after abort, want %d", i, got, i)
 		}
 	}
 }

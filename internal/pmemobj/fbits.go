@@ -2,11 +2,10 @@ package pmemobj
 
 import "math/bits"
 
-// The bitmap allocator fast path (DESIGN.md §14). The map-based free
-// lists (free/freeSet in arena) answer "smallest free block ≥ need" by
-// iterating every distinct block size under the arena lock — O(#sizes)
-// with map overhead on every alloc and free. The fast path replaces
-// them for small blocks with gostore-style hierarchical free bitmaps:
+// The free-bitmap allocator (DESIGN.md §14). Every free block up to
+// smallClassMax is found through gostore-style hierarchical free
+// bitmaps, so "smallest free block ≥ need" costs O(1) word operations
+// instead of a scan over every distinct block size:
 //
 //   - a size-class index: block sizes up to smallClassMax bucket into
 //     one class per blockAlign step (class = size>>smallShift, exact
@@ -28,15 +27,15 @@ import "math/bits"
 // size (releaseBlock, split remainders, redo publication and rebuild
 // all persist the header before listing the block), so the pair
 // (bit, header) disambiguates every reuse of an offset. Blocks larger
-// than smallClassMax stay on the map-based lists; they are rare (class
-// padding caps most requests well below smallClassMax) and excluded
-// from the slot bitmap.
+// than smallClassMax live on the arena's size-keyed free/freeSet maps;
+// they are rare (class padding caps most requests well below
+// smallClassMax) and excluded from the slot bitmap.
 
 const (
 	// smallShift is the class granularity: one class per blockAlign.
 	smallShift = 4
 	// smallClassMax is the largest block size served by the bitmap
-	// pools; larger blocks use the map-based lists.
+	// pools; larger blocks use the arena's size-keyed maps.
 	smallClassMax = 2048
 	// nSmallClasses indexes classes 0..smallClassMax>>smallShift.
 	nSmallClasses = smallClassMax>>smallShift + 1
@@ -124,7 +123,7 @@ func (f *fbits) nextSet(i int) int {
 	}
 }
 
-// classPools is one arena's bitmap fast path: the class-occupancy
+// classPools is one arena's small-block free structure: the class-occupancy
 // index, the per-class offset stacks and the slot membership bitmap.
 type classPools struct {
 	occ    *fbits

@@ -54,7 +54,7 @@ func TestFbits(t *testing.T) {
 	}
 }
 
-// TestBitmapAllocFreeMergeRoundTrip walks the bitmap fast path through
+// TestBitmapAllocFreeMergeRoundTrip walks the bitmap allocator through
 // an alloc/free/merge/reuse cycle where every interesting transition is
 // observable through block offsets: forward merging across a freed
 // neighbor, reuse of the merged block by a larger request, a re-split
@@ -110,8 +110,7 @@ func TestBitmapAllocFreeMergeRoundTrip(t *testing.T) {
 	free(c)
 }
 
-// blockMap snapshots the heap's block chain (offset -> size and state)
-// for structural comparison between allocator modes.
+// blockMap snapshots the heap's block chain (offset -> size and state).
 func blockMap(t *testing.T, p *Pool) map[uint64][2]uint64 {
 	t.Helper()
 	out := map[uint64][2]uint64{}
@@ -139,11 +138,11 @@ func freeCount(p *Pool) int {
 	return n
 }
 
-// TestBitmapRebuildEquivalence checks that the bitmap and map-based
-// allocators are two volatile views of the same persistent heap: after
-// a randomized alloc/free/realloc history, reopening the pool in either
-// mode rebuilds the identical block chain, identical occupancy and the
-// same number of free-listed blocks — and both modes keep serving
+// TestBitmapRebuildEquivalence checks that the free structures rebuilt
+// at open are an exact volatile view of the persistent heap: after a
+// randomized alloc/free/realloc history, reopening lists every free
+// block of the walked chain exactly once and at its header size, keeps
+// every allocated block and the occupancy, and keeps serving
 // allocations from that state.
 func TestBitmapRebuildEquivalence(t *testing.T) {
 	p, dev := newTestPool(t, Config{})
@@ -177,68 +176,56 @@ func TestBitmapRebuildEquivalence(t *testing.T) {
 	base := blockMap(t, p)
 	baseStats := p.Stats()
 
-	open := func(disable bool) *Pool {
-		t.Helper()
-		q, err := OpenConfig(dev, nil, testBase, Config{Knobs: Knobs{DisableBitmapAlloc: disable}})
-		if err != nil {
-			t.Fatalf("OpenConfig(disable=%v): %v", disable, err)
-		}
-		return q
-	}
-	bm, mp := open(false), open(true)
-	if bm.heap.arenas[0].bm == nil || mp.heap.arenas[0].bm != nil {
-		t.Fatal("DisableBitmapAlloc knob not honoured")
-	}
-	// The two rebuilt views must be structurally identical to each
-	// other (open coalesces adjacent free runs, so free blocks may be
-	// fewer than on the live chain — but identically so in both modes),
-	// and every allocated block must survive the rebuild untouched.
-	bmChain, mpChain := blockMap(t, bm), blockMap(t, mp)
-	if len(bmChain) != len(mpChain) {
-		t.Fatalf("rebuilt chains differ: bitmap %d blocks, maps %d", len(bmChain), len(mpChain))
-	}
-	for off, ss := range bmChain {
-		if mpChain[off] != ss {
-			t.Fatalf("block %#x: bitmap rebuilt %v, maps %v", off, ss, mpChain[off])
-		}
-	}
+	q := reopen(t, dev)
+	// Open coalesces adjacent free runs, so the rebuilt chain may hold
+	// fewer free blocks than the live one, but every allocated block
+	// must survive untouched.
+	chain := blockMap(t, q)
 	for off, ss := range base {
-		if ss[1] != blockAllocated {
+		if ss[1] == blockAllocated && chain[off] != ss {
+			t.Fatalf("allocated block %#x rebuilt as %v, want %v", off, chain[off], ss)
+		}
+	}
+	walkedFree := 0
+	q.heap.lockAll()
+	for off, ss := range chain {
+		if ss[1] != blockFree {
 			continue
 		}
-		if bmChain[off] != ss {
-			t.Fatalf("allocated block %#x rebuilt as %v, want %v", off, bmChain[off], ss)
+		walkedFree++
+		size, ok := q.heap.arenaOf(off).freeSizeAt(q, off)
+		if !ok || size != ss[0] {
+			q.heap.unlockAll()
+			t.Fatalf("free block %#x (size %d) listed as %d, %v", off, ss[0], size, ok)
 		}
 	}
-	for _, q := range []*Pool{bm, mp} {
-		if s := q.Stats(); s != baseStats {
-			t.Fatalf("rebuilt stats %+v, want %+v", s, baseStats)
-		}
+	q.heap.unlockAll()
+	if got := freeCount(q); got != walkedFree {
+		t.Fatalf("free structures list %d blocks, the chain has %d", got, walkedFree)
 	}
-	if nb, nm := freeCount(bm), freeCount(mp); nb != nm {
-		t.Fatalf("free-list depth differs: bitmap %d, maps %d", nb, nm)
+	if s := q.Stats(); s != baseStats {
+		t.Fatalf("rebuilt stats %+v, want %+v", s, baseStats)
 	}
 
-	// Both rebuilt views must serve the same live set: free everything
-	// through one, then the other must see a fully coalesced heap.
-	// (The two Pools share the device; use each for disjoint work.)
+	// The rebuilt view must serve the live set: free everything through
+	// it, then a fresh reopen must see an empty, fully coalesced heap.
 	for _, oid := range live {
-		if err := bm.Free(oid); err != nil {
+		if err := q.Free(oid); err != nil {
 			t.Fatalf("Free after rebuild: %v", err)
 		}
 	}
-	mp2 := open(true)
-	if got := mp2.Stats().AllocatedObjects; got != 0 {
-		t.Fatalf("map-mode reopen after bitmap-mode frees: %d objects live, want 0", got)
+	q2 := reopen(t, dev)
+	if got := q2.Stats().AllocatedObjects; got != 0 {
+		t.Fatalf("reopen after freeing every object: %d objects live, want 0", got)
 	}
-	if _, err := mp2.Alloc(4096); err != nil {
+	if _, err := q2.Alloc(4096); err != nil {
 		t.Fatalf("Alloc after full free: %v", err)
 	}
 }
 
-// TestBitmapLargeBlocks exercises the map-list spillover: requests
-// above smallClassMax bypass the class pools in bitmap mode and must
-// still round-trip, merge and rebuild.
+// TestBitmapLargeBlocks exercises the large-block spillover: requests
+// above smallClassMax bypass the class pools and must still round-trip,
+// merge and rebuild.
 func TestBitmapLargeBlocks(t *testing.T) {
 	dev := pmem.NewPool("test", 1<<23)
 	p, err := Create(dev, nil, testBase, Config{UUID: 0xbeef, Knobs: Knobs{NArenas: 1}})

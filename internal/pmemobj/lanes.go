@@ -5,16 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// laneQueue dispenses the pool's lanes. The classic path is a buffered
-// channel — a fair FIFO semaphore — but every acquire/release pair
-// round-trips a single channel and its lock, which serializes
-// independent workers doing atomic ops. With affinity enabled, each
-// worker holds a hint to a per-slot atomic lane cache: release parks
-// the lane in the worker's slot with one CAS, and the next acquire by
-// the same worker takes it back with one swap — no shared state
-// touched at all on the repeat path. Under oversubscription (more
-// workers than lanes, or a worker migrating between slots) acquire
-// falls back to scanning all slots and finally to the channel.
+// laneQueue dispenses the pool's lanes. Each worker holds a hint to a
+// per-slot atomic lane cache: release parks the lane in the worker's
+// slot with one CAS, and the next acquire by the same worker takes it
+// back with one swap — no shared state touched at all on the repeat
+// path. Under oversubscription (more workers than lanes, or a worker
+// migrating between slots) acquire falls back to scanning all slots
+// and finally to a buffered channel, a fair FIFO semaphore that blocks
+// until a lane comes back.
 //
 // Lane ownership lives in exactly one of three places at any time: the
 // channel, a slot, or a holder. Hints themselves carry only a slot
@@ -37,18 +35,14 @@ type laneQueue struct {
 	waiters  atomic.Int32
 	rotor    atomic.Uint32
 	hints    sync.Pool // *laneHint
-	affinity bool
 }
 
 type laneHint struct {
 	slot uint32
 }
 
-func newLaneQueue(nLanes int, affinity bool) *laneQueue {
-	q := &laneQueue{
-		ch:       make(chan int, nLanes),
-		affinity: affinity,
-	}
+func newLaneQueue(nLanes int) *laneQueue {
+	q := &laneQueue{ch: make(chan int, nLanes)}
 	for i := 0; i < nLanes; i++ {
 		q.ch <- i
 	}
@@ -70,14 +64,12 @@ func (q *laneQueue) getHint() *laneHint {
 
 // acquire returns a lane index, blocking until one is available.
 func (q *laneQueue) acquire() int {
-	if q.affinity {
-		hint := q.getHint()
-		slot := hint.slot
-		q.hints.Put(hint)
-		if v := q.slots[slot].Swap(0); v != 0 {
-			metLaneAffinity.Inc()
-			return int(v - 1)
-		}
+	hint := q.getHint()
+	slot := hint.slot
+	q.hints.Put(hint)
+	if v := q.slots[slot].Swap(0); v != 0 {
+		metLaneAffinity.Inc()
+		return int(v - 1)
 	}
 	select {
 	case lane := <-q.ch:
@@ -85,17 +77,15 @@ func (q *laneQueue) acquire() int {
 		return lane
 	default:
 	}
-	if q.affinity {
-		// Slow path: advertise, then scan every slot once before
-		// parking on the channel. The counter order pairs with
-		// release's park-then-check.
-		q.waiters.Add(1)
-		defer q.waiters.Add(-1)
-		for i := range q.slots {
-			if v := q.slots[i].Swap(0); v != 0 {
-				metLaneScan.Inc()
-				return int(v - 1)
-			}
+	// Slow path: advertise, then scan every slot once before parking on
+	// the channel. The counter order pairs with release's
+	// park-then-check.
+	q.waiters.Add(1)
+	defer q.waiters.Add(-1)
+	for i := range q.slots {
+		if v := q.slots[i].Swap(0); v != 0 {
+			metLaneScan.Inc()
+			return int(v - 1)
 		}
 	}
 	metLaneChannel.Inc()
@@ -104,7 +94,7 @@ func (q *laneQueue) acquire() int {
 
 // release returns a lane, preferring the worker's affine slot.
 func (q *laneQueue) release(lane int) {
-	if q.affinity && q.waiters.Load() == 0 {
+	if q.waiters.Load() == 0 {
 		hint := q.getHint()
 		slot := hint.slot
 		q.hints.Put(hint)

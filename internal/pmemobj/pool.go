@@ -98,16 +98,12 @@ type Pool struct {
 	redoCap  int
 	undoCap  uint64
 
-	nArenas      int
-	laneAffinity bool
-	mvcc         bool
+	nArenas int
+	mvcc    bool
 
-	// Batched commit pipeline knobs (see DESIGN.md §12) and the
-	// recycled per-commit scratch (flush accumulator + word buffer).
-	rangeDedup    bool
-	flushCoalesce bool
-	groupFence    bool
-	scratch       sync.Pool
+	// scratch recycles the commit pipeline's per-call working set (flush
+	// accumulator + word buffer).
+	scratch sync.Pool
 
 	heap  heap
 	lanes *laneQueue
@@ -196,8 +192,8 @@ func Open(dev *pmem.Pool, as *vmem.AddressSpace, base uint64) (*Pool, error) {
 	return OpenConfig(dev, as, base, Config{})
 }
 
-// OpenConfig is Open with explicit volatile knobs (arena count, lane
-// affinity). Persistent geometry always comes from the pool header;
+// OpenConfig is Open with explicit volatile knobs (arena count, MVCC,
+// telemetry). Persistent geometry always comes from the pool header;
 // fields of cfg that describe persistent layout are ignored.
 func OpenConfig(dev *pmem.Pool, as *vmem.AddressSpace, base uint64, cfg Config) (*Pool, error) {
 	if dev.Size() < headerSize || dev.ReadU64(hMagic) != poolMagic {
@@ -243,13 +239,9 @@ func open(dev *pmem.Pool, as *vmem.AddressSpace, base uint64, cfg Config) (*Pool
 	if p.nArenas <= 0 {
 		p.nArenas = DefaultNArenas
 	}
-	p.laneAffinity = !cfg.DisableLaneAffinity
 	p.mvcc = !cfg.NoMVCC
-	p.rangeDedup = !cfg.DisableRangeDedup
-	p.flushCoalesce = !cfg.DisableFlushCoalesce
-	p.groupFence = !cfg.DisableGroupFence
 	p.scratch.New = func() any {
-		return &commitScratch{ac: pmem.NewFlushAccum(p.dev, p.flushCoalesce)}
+		return &commitScratch{ac: pmem.NewFlushAccum(p.dev)}
 	}
 
 	if cfg.Telemetry {
@@ -265,13 +257,13 @@ func open(dev *pmem.Pool, as *vmem.AddressSpace, base uint64, cfg Config) (*Pool
 	if err := p.recover(); err != nil {
 		return nil, err
 	}
-	p.heap.init(p.heapOff, p.heapEnd, p.nArenas, !cfg.DisableBitmapAlloc)
+	p.heap.init(p.heapOff, p.heapEnd, p.nArenas)
 	if err := p.heap.rebuild(p); err != nil {
 		return nil, err
 	}
 	p.nArenas = len(p.heap.arenas) // after clamping to the heap size
 
-	p.lanes = newLaneQueue(p.nLanes, p.laneAffinity)
+	p.lanes = newLaneQueue(p.nLanes)
 	p.txScratch = make([]txScratch, p.nLanes)
 
 	if cfg.Telemetry {
@@ -568,19 +560,6 @@ func (p *Pool) Stats() Stats {
 // with (after clamping to the heap size).
 func (p *Pool) NArenas() int { return p.nArenas }
 
-// LaneAffinity reports whether the worker-affine lane cache is active.
-func (p *Pool) LaneAffinity() bool { return p.laneAffinity }
-
 // MVCC reports whether kvstore snapshot isolation is active for stores
 // opened over this pool.
 func (p *Pool) MVCC() bool { return p.mvcc }
-
-// RangeDedup reports whether AddRange interval dedup is active.
-func (p *Pool) RangeDedup() bool { return p.rangeDedup }
-
-// FlushCoalesce reports whether commit-path flush coalescing is active.
-func (p *Pool) FlushCoalesce() bool { return p.flushCoalesce }
-
-// GroupFence reports whether commit fences go through the device's
-// group combiner.
-func (p *Pool) GroupFence() bool { return p.groupFence }

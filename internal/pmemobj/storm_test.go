@@ -34,22 +34,20 @@ type stormObj struct {
 // owners (stamps and walk offsets are unique), no block is lost (the
 // walk tiles exactly the union of live sets and Stats agrees), and a
 // reopen rebuilds the same picture.
+//
+// The subtest keeps the name of the bitmap allocator, which is now the
+// only allocator.
 func TestConcurrentStormInvariants(t *testing.T) {
-	for _, m := range []struct {
-		name    string
-		noFbits bool
-	}{{"bitmap", false}, {"maps", true}} {
-		t.Run(m.name, func(t *testing.T) { stormInvariants(t, m.noFbits) })
-	}
+	t.Run("bitmap", stormInvariants)
 }
 
-func stormInvariants(t *testing.T, noFbits bool) {
+func stormInvariants(t *testing.T) {
 	const (
 		workers = 8
 		steps   = 300
 		window  = 16
 	)
-	p, dev := newTestPool(t, Config{Geometry: Geometry{NLanes: workers}, Knobs: Knobs{DisableBitmapAlloc: noFbits}})
+	p, dev := newTestPool(t, Config{Geometry: Geometry{NLanes: workers}})
 
 	live := make([]map[uint64]stormObj, workers) // payload off -> obj
 	var wg sync.WaitGroup
@@ -181,11 +179,7 @@ func stormInvariants(t *testing.T, noFbits bool) {
 		return walked
 	}
 	before := verify(p, "post-storm")
-	q, err := OpenConfig(dev, nil, testBase, Config{Knobs: Knobs{DisableBitmapAlloc: noFbits}})
-	if err != nil {
-		t.Fatalf("OpenConfig: %v", err)
-	}
-	after := verify(q, "post-reopen")
+	after := verify(reopen(t, dev), "post-reopen")
 	if len(before) != len(after) {
 		t.Errorf("reopen changed object count: %d -> %d", len(before), len(after))
 	}
@@ -198,21 +192,19 @@ func stormInvariants(t *testing.T, noFbits bool) {
 // and an uncommitted allocation in flight. After the crash, recovery
 // must roll every parked transaction back and the pool must contain
 // exactly the committed oracle.
+//
+// The subtest keeps the name of the bitmap allocator, which is now the
+// only allocator.
 func TestConcurrentStormCrashRecovery(t *testing.T) {
-	for _, m := range []struct {
-		name    string
-		noFbits bool
-	}{{"bitmap", false}, {"maps", true}} {
-		t.Run(m.name, func(t *testing.T) { stormCrashRecovery(t, m.noFbits) })
-	}
+	t.Run("bitmap", stormCrashRecovery)
 }
 
-func stormCrashRecovery(t *testing.T, noFbits bool) {
+func stormCrashRecovery(t *testing.T) {
 	const (
 		workers = 8
 		commits = 20
 	)
-	p, dev := newTestPool(t, Config{Geometry: Geometry{NLanes: workers}, Knobs: Knobs{DisableBitmapAlloc: noFbits}})
+	p, dev := newTestPool(t, Config{Geometry: Geometry{NLanes: workers}})
 	root, err := p.Root(uint64(workers) * 32)
 	if err != nil {
 		t.Fatalf("Root: %v", err)
@@ -327,12 +319,11 @@ func stormCrashRecovery(t *testing.T, noFbits bool) {
 // multi-core runner.
 func BenchmarkScalingAlloc(b *testing.B) {
 	modes := []struct {
-		name       string
-		arenas     int
-		noAffinity bool
+		name   string
+		arenas int
 	}{
-		{"sharded", 0, false},
-		{"1arena", 1, true},
+		{"sharded", 0},
+		{"1arena", 1},
 	}
 	for _, m := range modes {
 		for _, g := range []int{1, 2, 4, 8} {
@@ -341,7 +332,7 @@ func BenchmarkScalingAlloc(b *testing.B) {
 				p, err := Create(dev, nil, testBase, Config{
 					UUID:     1,
 					Geometry: Geometry{NLanes: 16},
-					Knobs:    Knobs{NArenas: m.arenas, DisableLaneAffinity: m.noAffinity},
+					Knobs:    Knobs{NArenas: m.arenas},
 				})
 				if err != nil {
 					b.Fatalf("Create: %v", err)

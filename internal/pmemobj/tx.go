@@ -124,9 +124,11 @@ func (p *Pool) BeginTraced(tr *trace.Req) *Tx {
 // AddRange snapshots [off, off+size) of the pool into the undo log
 // (pmemobj_tx_add_range). Ranges snapshotted through this call are
 // flushed at commit, so the caller may store into them with plain
-// writes. With range dedup on (the default), the transaction keeps a
-// sorted interval set of everything snapshotted so far — PMDK's ranges
-// tree — and only the uncovered sub-ranges grow the undo log.
+// writes. The transaction keeps a sorted interval set of everything
+// snapshotted so far — PMDK's ranges tree — and only the uncovered
+// sub-ranges grow the undo log; overlapping and adjacent intervals
+// merge. A byte's first covering call snapshots its pre-tx value, which
+// is exactly what rollback must restore.
 func (tx *Tx) AddRange(off, size uint64) error {
 	if tx.done {
 		return ErrTxDone
@@ -134,23 +136,6 @@ func (tx *Tx) AddRange(off, size uint64) error {
 	if off+size > tx.p.dev.Size() || off+size < off {
 		return fmt.Errorf("%w: range [%#x,+%d) outside pool", ErrBadOid, off, size)
 	}
-	if !tx.p.rangeDedup {
-		if err := tx.undoAppend(off, size); err != nil {
-			return err
-		}
-		tx.ranges = append(tx.ranges, txRange{off, size})
-		return nil
-	}
-	return tx.addRangeDedup(off, size)
-}
-
-// addRangeDedup snapshots only the sub-ranges of [off, off+size) not
-// yet covered by this transaction, then folds the request into the
-// interval set, merging overlapping and adjacent intervals. A byte's
-// first covering call snapshots its pre-tx value, so the LIFO rollback
-// restores exactly what the dense path would: the oldest snapshot is
-// replayed last either way.
-func (tx *Tx) addRangeDedup(off, size uint64) error {
 	if size == 0 {
 		return nil
 	}

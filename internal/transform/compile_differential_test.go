@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -21,21 +20,24 @@ import (
 // every protection variant. The interpreter is the oracle; these tests
 // are the differential harness the refactor is accepted against.
 
-func newEnvCompiled(t *testing.T, kind variant.Kind, noCompile bool) *variant.Env {
+// newMachine builds a machine for mod over a fresh environment, running
+// compiled or, with noCompile, in the reference interpreter.
+func newMachine(t *testing.T, mod *ir.Module, kind variant.Kind, noCompile bool) (*interp.Machine, *variant.Env) {
 	t.Helper()
-	env, err := variant.New(kind, variant.Options{PoolSize: 8 << 20, Knobs: engine.Knobs{NoCompile: noCompile}})
+	env, err := variant.New(kind, variant.Options{PoolSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env
+	mach := interp.New(mod, env)
+	mach.NoCompile = noCompile
+	return mach, env
 }
 
 // runVerdict executes instrumented @main in one mode and folds the
 // outcome into a verdict.
 func runVerdict(t *testing.T, mod *ir.Module, kind variant.Kind, noCompile bool) verdict {
 	t.Helper()
-	env := newEnvCompiled(t, kind, noCompile)
-	mach := interp.New(mod, env)
+	mach, _ := newMachine(t, mod, kind, noCompile)
 	mach.MaxSteps = 1 << 24
 	got, runErr := mach.Run("main")
 	v := verdict{errored: runErr != nil, trapped: hooks.IsSafetyTrap(runErr)}
@@ -114,11 +116,11 @@ func TestCompiledDurableImageEquivalence(t *testing.T) {
 		}
 		runOne := func(noCompile bool) trace {
 			t.Helper()
-			env := newEnvCompiled(t, variant.SPP, noCompile)
+			mach, env := newMachine(t, instrumented, variant.SPP, noCompile)
 			tracker := pmemcheck.NewTracker()
 			env.Dev.EnableTracking(tracker)
 			base := append([]byte(nil), env.Dev.Data()...)
-			if _, err := interp.New(instrumented, env).Run("main"); err != nil {
+			if _, err := mach.Run("main"); err != nil {
 				t.Fatalf("%s (noCompile=%v): run failed: %v", tc.name, noCompile, err)
 			}
 			durable, err := env.Dev.DurableImage()
@@ -209,7 +211,7 @@ func TestCompiledMixedCallPaths(t *testing.T) {
 			for _, off := range []uint64{8, 256, 0} {
 				var out [2]string
 				for i, noCompile := range []bool{true, false} {
-					mach := interp.New(instrumented, newEnvCompiled(t, kind, noCompile))
+					mach, _ := newMachine(t, instrumented, kind, noCompile)
 					got, runErr := mach.Run("main", off)
 					out[i] = fmt.Sprintf("%d %v trapped=%v", got, runErr, hooks.IsSafetyTrap(runErr))
 					if st := mach.CompileStats(); !noCompile && (st.Funcs != 2 || st.Fallbacks != 1) {

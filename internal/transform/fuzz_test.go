@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -18,12 +17,12 @@ import (
 // a step budget small enough that a generated loop or recursion ends
 // quickly. @main's one parameter, if it has one, is an iteration count.
 func fuzzRun(t *testing.T, mod *ir.Module, noCompile bool) (uint64, error) {
-	env, err := variant.New(variant.SPP, variant.Options{PoolSize: 2 << 20, HeapSize: 1 << 20,
-		Knobs: engine.Knobs{NoCompile: noCompile}})
+	env, err := variant.New(variant.SPP, variant.Options{PoolSize: 2 << 20, HeapSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mach := interp.New(mod, env)
+	mach.NoCompile = noCompile
 	mach.MaxSteps = 20000
 	if len(mod.Func("main").Params) == 1 {
 		return mach.Run("main", 3)

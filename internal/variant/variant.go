@@ -143,8 +143,8 @@ func Adopt(kind Kind, dev *pmem.Pool) (*Env, error) {
 	return AdoptConfig(kind, dev, Options{})
 }
 
-// AdoptConfig is Adopt with explicit volatile knobs (arena count, lane
-// affinity, telemetry). The knobs are kept on the environment, so a
+// AdoptConfig is Adopt with explicit volatile knobs (arena count,
+// MVCC, telemetry). The knobs are kept on the environment, so a
 // later Reopen preserves them — persistent geometry still comes from
 // the pool header.
 func AdoptConfig(kind Kind, dev *pmem.Pool, opts Options) (*Env, error) {
@@ -169,12 +169,8 @@ func AdoptConfig(kind Kind, dev *pmem.Pool, opts Options) (*Env, error) {
 
 // Reopen simulates an application restart: the pool is unmapped and
 // re-opened from the same device, running recovery and rebuilding the
-// runtime's metadata. The environment's volatile concurrency knobs
-// (arena count, lane affinity) carry over.
-// NoCompile reports whether machines over this environment should run
-// the reference interpreter instead of closure-compiled functions.
-func (e *Env) NoCompile() bool { return e.opts.NoCompile }
-
+// runtime's metadata. The environment's volatile knobs (arena count,
+// MVCC, telemetry) carry over.
 func (e *Env) Reopen() error {
 	if err := e.Pool.Close(); err != nil {
 		return err
