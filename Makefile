@@ -33,12 +33,14 @@ bench-module:
 	$(GO) test -C benchmarks ./...
 
 ## race: the concurrency-sensitive packages under the race detector —
-## the memory path (device, allocator, lanes), the runtimes above it,
+## the memory path (address space and device, which share the store
+## bracket, allocator, lanes), the runtimes above it (SafePM's shadow
+## writes take the bracket too),
 ## the concurrent kvstore workloads (writers maintaining the ordered
 ## index under scanning snapshots among them), and the compiled
 ## dispatch.
 race:
-	$(GO) test -race ./internal/pmem ./internal/pmemobj ./internal/hooks ./internal/kvstore ./internal/telemetry ./internal/trace ./internal/interp ./internal/server ./internal/wire ./client
+	$(GO) test -race ./internal/vmem ./internal/pmem ./internal/pmemobj ./internal/hooks ./internal/safepm ./internal/kvstore ./internal/telemetry ./internal/trace ./internal/interp ./internal/server ./internal/wire ./client
 
 ## lint-fixtures: the clean fixture must lint clean; the laundered one
 ## must be flagged (non-zero exit) — both outcomes are asserted.

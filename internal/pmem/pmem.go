@@ -13,19 +13,20 @@
 // is immediately durable and the pool runs at full speed for the
 // performance experiments.
 //
-// Concurrency. The fast path is lock-free: Store/Flush/Fence consult a
-// single atomic gate word (tracking and telemetry bits) and return
-// without touching any mutex when both are off, so independent
-// goroutines hammering the device never contend. When tracking is on, pending flush ranges are striped
-// across flushStripes cacheline-padded mutexes keyed by the flushed
-// address, and the mode switch itself is guarded by an RWMutex: the
-// data path holds it for read, Enable/DisableTracking, Crash and
-// DurableImage hold it for write. The lock order is mode before
-// stripe; stripes are only ever locked together in ascending index
-// order (by Fence).
+// Concurrency. With tracking off the device is lock-free: a store,
+// flush or fence loads one atomic gate word (tracking and telemetry
+// bits) and takes no mutex. With tracking on, every store brackets its
+// byte write (BeginStore/EndStore) with a read hold of the mode RWMutex,
+// and Fence, GroupFence, Crash and DurableImage hold mode for write, so
+// a fence's copy of flushed lines is ordered against every store, even
+// one to other bytes of the same cacheline. Pending flushes sit under
+// one small mutex taken inside mode: a tracked fence takes two locks.
+// EnableTracking, DisableTracking and Crash need a quiescent data path
+// (no store, flush or fence in flight, ordered by the caller).
 package pmem
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -72,11 +73,6 @@ const CachelineSize = 64
 // failure-atomic, matching the 8-byte powerfail atomicity of real PM.
 const StoreAtomicity = 8
 
-// flushStripes is the number of independent pending-flush sets. Flushes
-// hash to a stripe by cacheline index so concurrent flushers of
-// disjoint ranges do not share a lock even when tracking is on.
-const flushStripes = 16
-
 // ErrTrackingDisabled is returned by crash-simulation entry points when
 // the pool is running in performance mode.
 var ErrTrackingDisabled = errors.New("pmem: persistence tracking is disabled")
@@ -94,14 +90,6 @@ type TraceSink interface {
 
 type flushRange struct {
 	off, size uint64
-}
-
-// flushStripe is one shard of the pending-flush set, padded so
-// neighbouring stripes do not false-share a cacheline.
-type flushStripe struct {
-	mu      sync.Mutex
-	pending []flushRange
-	_       [40]byte
 }
 
 // Bits of Pool.gates.
@@ -126,19 +114,19 @@ type Pool struct {
 	// Enable/DisableTracking under the mode lock.
 	gates atomic.Uint32
 
-	// mode serializes tracking-mode transitions against the data path.
-	// The fields below it are valid only while tracking is on.
+	// mode is held for read by every tracked store across its byte
+	// write and for write by fences and mode transitions. The fields
+	// below it are valid only while tracking is on.
 	mode      sync.RWMutex
 	persisted []byte // durable image
 	sink      TraceSink
-	stripes   [flushStripes]flushStripe
 
-	// Fence combiner (GroupFence): fenceEpoch counts combined fences
-	// that have *started*; fenceMu serializes leaders. Only consulted
-	// when tracking is on — that is the only mode where a fence does
-	// real work worth sharing.
+	pendMu  sync.Mutex
+	pending []flushRange // flushed, not yet fenced
+
+	// fenceEpoch counts fences that have started; it is bumped only
+	// under the mode write lock and read by GroupFence before it.
 	fenceEpoch atomic.Uint64
-	fenceMu    sync.Mutex
 }
 
 // NewPool returns an in-memory pool of the given size with tracking
@@ -194,32 +182,44 @@ func (p *Pool) Data() []byte { return p.data }
 // current working image becomes the durable image and all subsequent
 // stores/flushes/fences are reported to sink (which may be nil to track
 // durability only). Like snapshotting real memory, the transition
-// requires a quiescent data path: no store may be in flight while the
-// image is copied.
+// requires a quiescent data path: no store, flush or fence may be in
+// flight while the image is copied.
 func (p *Pool) EnableTracking(sink TraceSink) {
 	p.mode.Lock()
 	defer p.mode.Unlock()
 	p.sink = sink
 	p.persisted = make([]byte, len(p.data))
-	copy(p.persisted, p.data)
-	for i := range p.stripes {
-		p.stripes[i].pending = nil
-	}
-	// Publish last: a fast-path reader that observes tracking=true is
-	// about to block on mode.RLock and will see the fields above.
+	copyNonZero(p.persisted, p.data)
+	p.pending = nil
+	// Publish last: a reader that observes tracking=true also sees the
+	// fields above.
 	p.gates.Store(p.gates.Load() | gateTracking)
 }
 
 // DisableTracking returns the pool to performance mode. The working
 // image is kept; the durable image and any pending flushes are dropped.
+// Like EnableTracking it requires a quiescent data path.
 func (p *Pool) DisableTracking() {
 	p.mode.Lock()
 	defer p.mode.Unlock()
 	p.gates.Store(p.gates.Load() &^ gateTracking)
 	p.sink = nil
 	p.persisted = nil
-	for i := range p.stripes {
-		p.stripes[i].pending = nil
+	p.pending = nil
+}
+
+// zeroPage is the unit copyNonZero skips.
+var zeroPage [4096]byte
+
+// copyNonZero copies src into dst, which must be zero, skipping the
+// pages of src that are zero too: the untouched bulk of a fresh pool
+// then costs the durable image neither a copy nor a write fault.
+func copyNonZero(dst, src []byte) {
+	for off := 0; off < len(src); off += len(zeroPage) {
+		c := src[off:min(off+len(zeroPage), len(src))]
+		if !bytes.Equal(c, zeroPage[:len(c)]) {
+			copy(dst[off:], c)
+		}
 	}
 }
 
@@ -228,42 +228,57 @@ func (p *Pool) Tracking() bool {
 	return p.gates.Load()&gateTracking != 0
 }
 
-// recordStore notes a completed store at [off, off+size).
-func (p *Pool) recordStore(off, size uint64) {
+// BeginStore opens a store to [off, off+size) and EndStore, handed its
+// result, closes it; every write to the working image happens between
+// the two. With tracking on the store holds mode for read, so no fence
+// copies a line while its bytes are being written. The pair implements
+// vmem.StoreObserver, so application stores through the simulated
+// address space are bracketed and traced too.
+func (p *Pool) BeginStore(off, size uint64) bool {
 	g := p.gates.Load()
 	if g == 0 {
-		return
+		return false
 	}
+	return p.beginStore(g, size)
+}
+
+// beginStore is BeginStore's out-of-line part, so that BeginStore stays
+// small enough to inline into every writer's fast path. It counts the
+// store into telemetry and, with tracking on, takes mode for read.
+func (p *Pool) beginStore(g uint32, size uint64) bool {
 	if g&gateTracking == 0 {
-		if g&gateTelem != 0 {
-			devStoresFast.Inc()
-			devBytesFast.Add(size)
-		}
-		return
+		devStoresFast.Inc()
+		devBytesFast.Add(size)
+		return false
 	}
 	if g&gateTelem != 0 {
 		devStoresTracked.Inc()
 		devBytesTracked.Add(size)
 	}
 	p.mode.RLock()
+	return true
+}
+
+// EndStore closes a store opened by BeginStore and reports it to the
+// trace sink.
+func (p *Pool) EndStore(off, size uint64, began bool) {
+	if began {
+		p.endStore(off, size)
+	}
+}
+
+// endStore is EndStore's out-of-line part, for the same reason.
+func (p *Pool) endStore(off, size uint64) {
 	sink := p.sink
 	var cp []byte
-	if p.Tracking() && sink != nil {
+	if sink != nil {
 		cp = make([]byte, size)
 		copy(cp, p.data[off:off+size])
-	} else {
-		sink = nil
 	}
 	p.mode.RUnlock()
 	if sink != nil {
 		sink.RecordStore(off, cp)
 	}
-}
-
-// ObserveStore implements vmem.StoreObserver so that application stores
-// through the simulated address space join the persistence trace.
-func (p *Pool) ObserveStore(off, size uint64) {
-	p.recordStore(off, size)
 }
 
 // ReadU64 reads a little-endian 64-bit value at off.
@@ -275,6 +290,7 @@ func (p *Pool) ReadU64(off uint64) uint64 {
 
 // WriteU64 writes a little-endian 64-bit value at off.
 func (p *Pool) WriteU64(off uint64, v uint64) {
+	began := p.BeginStore(off, 8)
 	b := p.data[off : off+8]
 	b[0] = byte(v)
 	b[1] = byte(v >> 8)
@@ -284,7 +300,7 @@ func (p *Pool) WriteU64(off uint64, v uint64) {
 	b[5] = byte(v >> 40)
 	b[6] = byte(v >> 48)
 	b[7] = byte(v >> 56)
-	p.recordStore(off, 8)
+	p.EndStore(off, 8, began)
 }
 
 // WriteU64s writes consecutive little-endian 64-bit values starting at
@@ -303,7 +319,9 @@ func (p *Pool) WriteU64s(off uint64, vals []uint64) {
 		}
 		return
 	}
-	b := p.data[off : off+uint64(len(vals))*8]
+	size := uint64(len(vals)) * 8
+	began := p.BeginStore(off, size)
+	b := p.data[off : off+size]
 	for i, v := range vals {
 		e := b[i*8 : i*8+8]
 		e[0] = byte(v)
@@ -315,7 +333,7 @@ func (p *Pool) WriteU64s(off uint64, vals []uint64) {
 		e[6] = byte(v >> 48)
 		e[7] = byte(v >> 56)
 	}
-	p.recordStore(off, uint64(len(vals))*8)
+	p.EndStore(off, size, began)
 }
 
 // ReadBytes copies size bytes at off into a fresh slice.
@@ -327,17 +345,34 @@ func (p *Pool) ReadBytes(off, size uint64) []byte {
 
 // WriteBytes writes b at off.
 func (p *Pool) WriteBytes(off uint64, b []byte) {
+	began := p.BeginStore(off, uint64(len(b)))
 	copy(p.data[off:], b)
-	p.recordStore(off, uint64(len(b)))
+	p.EndStore(off, uint64(len(b)), began)
 }
 
 // Zero clears [off, off+size).
-func (p *Pool) Zero(off, size uint64) {
+func (p *Pool) Zero(off, size uint64) { p.Fill(off, size, 0) }
+
+// Fill sets every byte of [off, off+size) to v as one store.
+func (p *Pool) Fill(off, size uint64, v byte) {
+	began := p.BeginStore(off, size)
 	region := p.data[off : off+size]
-	for i := range region {
-		region[i] = 0
+	switch {
+	case v == 0:
+		clear(region)
+	case size < CachelineSize:
+		for i := range region {
+			region[i] = v
+		}
+	default:
+		// Double a filled prefix, so that a large fill (SafePM poisons
+		// its whole heap's shadow) runs at copy speed.
+		region[0] = v
+		for n := 1; n < len(region); n *= 2 {
+			copy(region[n:], region[:n])
+		}
 	}
-	p.recordStore(off, size)
+	p.EndStore(off, size, began)
 }
 
 // Flush initiates write-back of [off, off+size), extended to cacheline
@@ -357,102 +392,67 @@ func (p *Pool) Flush(off, size uint64) {
 		return
 	}
 	start := off &^ (CachelineSize - 1)
-	end := (off + size + CachelineSize - 1) &^ (CachelineSize - 1)
-	if end > uint64(len(p.data)) {
-		end = uint64(len(p.data))
-	}
-	p.mode.RLock()
-	if !p.Tracking() {
-		p.mode.RUnlock()
-		return
-	}
-	s := &p.stripes[(start/CachelineSize)%flushStripes]
-	s.mu.Lock()
-	s.pending = append(s.pending, flushRange{start, end - start})
-	s.mu.Unlock()
-	sink := p.sink
-	p.mode.RUnlock()
-	if sink != nil {
+	end := min((off+size+CachelineSize-1)&^(CachelineSize-1), uint64(len(p.data)))
+	p.pendMu.Lock()
+	p.pending = append(p.pending, flushRange{start, end - start})
+	p.pendMu.Unlock()
+	if sink := p.sink; sink != nil {
 		sink.RecordFlush(start, end-start)
 	}
 }
 
-// Fence makes all pending flushed ranges durable.
-func (p *Pool) Fence() {
-	g := p.gates.Load()
-	if g == 0 {
-		return
-	}
-	if g&gateTelem != 0 {
-		devFences.Inc()
-	}
-	if g&gateTracking == 0 {
-		return
-	}
-	p.mode.RLock()
-	if !p.Tracking() {
-		p.mode.RUnlock()
-		return
-	}
-	// Take every stripe in ascending order so concurrent Fences are
-	// serialized with each other (their persisted-image copies may
-	// overlap) while leaving Flush on other stripes unblocked until
-	// its own stripe is reached.
-	for i := range p.stripes {
-		p.stripes[i].mu.Lock()
-	}
-	retired := 0
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		retired += len(s.pending)
-		for _, r := range s.pending {
-			copy(p.persisted[r.off:r.off+r.size], p.data[r.off:r.off+r.size])
-		}
-		s.pending = s.pending[:0]
-	}
-	telemetry.Flight.Record(telemetry.EvFence, uint64(retired), 0)
-	for i := len(p.stripes) - 1; i >= 0; i-- {
-		p.stripes[i].mu.Unlock()
-	}
-	sink := p.sink
-	p.mode.RUnlock()
-	if sink != nil {
-		sink.RecordFence()
-	}
-}
+// Fence makes all pending flushed ranges durable: each flushed line
+// persists with its content at the time of the fence.
+func (p *Pool) Fence() { p.fence(false) }
 
 // GroupFence is Fence with cross-goroutine combining — classic group
 // commit. The caller's flushes must already be registered (Flush
 // returned) before the call. If another goroutine's fence *started*
 // after that point, it retired our pending lines too, so we return
-// without fencing; otherwise we become the leader for every committer
-// now piling up behind the combiner lock. Under contention N
-// concurrent fences collapse to ~1.
+// without fencing; otherwise we fence for every committer now piling
+// up behind the mode lock. Under contention N concurrent fences
+// collapse to ~1.
 //
-// The epoch is bumped before the leader's Fence begins, and followers
-// observe it only after acquiring the lock the leader holds for the
-// whole fence — so an observed epoch change proves a fence ran
-// entirely after the follower's flushes were registered.
-func (p *Pool) GroupFence() {
+// The epoch is read before taking mode for write and compared after; a
+// fence bumps it under that lock in the same hold that copies the
+// lines, so an observed change proves a fence ran entirely after the
+// caller's flushes were registered.
+func (p *Pool) GroupFence() { p.fence(true) }
+
+// fence is Fence, and with group set GroupFence's combining fence.
+func (p *Pool) fence(group bool) {
 	g := p.gates.Load()
 	if g&gateTracking == 0 {
-		// Fast mode: a fence is at most a telemetry bump; nothing worth
-		// sharing, and the combiner would add an atomic + lock.
-		p.Fence()
+		if g&gateTelem != 0 {
+			devFences.Inc()
+		}
 		return
 	}
 	e := p.fenceEpoch.Load()
-	p.fenceMu.Lock()
-	if p.fenceEpoch.Load() != e {
-		p.fenceMu.Unlock()
+	p.mode.Lock()
+	if group && p.fenceEpoch.Load() != e {
+		p.mode.Unlock()
 		if g&gateTelem != 0 {
 			devFencesShared.Inc()
 		}
 		return
 	}
+	if g&gateTelem != 0 {
+		devFences.Inc()
+	}
 	p.fenceEpoch.Add(1)
-	p.Fence()
-	p.fenceMu.Unlock()
+	p.pendMu.Lock()
+	for _, r := range p.pending {
+		copy(p.persisted[r.off:r.off+r.size], p.data[r.off:r.off+r.size])
+	}
+	telemetry.Flight.Record(telemetry.EvFence, uint64(len(p.pending)), 0)
+	p.pending = p.pending[:0]
+	p.pendMu.Unlock()
+	sink := p.sink
+	p.mode.Unlock()
+	if sink != nil {
+		sink.RecordFence()
+	}
 }
 
 // FlushAccum coalesces the flush traffic of one commit epoch: requests
@@ -543,7 +543,8 @@ func (p *Pool) Persist(off, size uint64) {
 }
 
 // Crash reverts the working image to the durable image, simulating a
-// power failure. It requires tracking.
+// power failure. It requires tracking and, like EnableTracking, a
+// quiescent data path: loads are not bracketed.
 func (p *Pool) Crash() error {
 	p.mode.Lock()
 	defer p.mode.Unlock()
@@ -551,9 +552,7 @@ func (p *Pool) Crash() error {
 		return ErrTrackingDisabled
 	}
 	copy(p.data, p.persisted)
-	for i := range p.stripes {
-		p.stripes[i].pending = p.stripes[i].pending[:0]
-	}
+	p.pending = p.pending[:0]
 	return nil
 }
 

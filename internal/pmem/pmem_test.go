@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vmem"
 )
 
 func TestReadWriteU64(t *testing.T) {
@@ -43,6 +45,17 @@ func TestBytesAndZero(t *testing.T) {
 	p.Zero(102, 2)
 	if got := p.ReadBytes(100, 6); !bytes.Equal(got, []byte{'a', 'b', 0, 0, 'e', 'f'}) {
 		t.Errorf("after Zero = %v", got)
+	}
+	// Fill, below and above the size where it switches to doubling
+	// copies, must touch exactly its range.
+	for _, n := range []uint64{1, 5, CachelineSize - 1, CachelineSize, 1000} {
+		p.Zero(0, p.Size())
+		p.Fill(1001, n, 0xab)
+		want := make([]byte, p.Size())
+		copy(want[1001:1001+n], bytes.Repeat([]byte{0xab}, int(n)))
+		if !bytes.Equal(p.Data(), want) {
+			t.Errorf("Fill(1001, %d, 0xab) wrote outside or short of its range", n)
+		}
 	}
 }
 
@@ -132,12 +145,14 @@ func TestDisableTrackingKeepsWorkingImage(t *testing.T) {
 
 type traceRecorder struct {
 	stores  []uint64
+	data    [][]byte // the bytes of each store
 	flushes []uint64
 	fences  int
 }
 
 func (r *traceRecorder) RecordStore(off uint64, data []byte) {
 	r.stores = append(r.stores, off)
+	r.data = append(r.data, data)
 }
 func (r *traceRecorder) RecordFlush(off, size uint64) { r.flushes = append(r.flushes, off) }
 func (r *traceRecorder) RecordFence()                 { r.fences++ }
@@ -161,13 +176,57 @@ func TestTraceSinkSeesEvents(t *testing.T) {
 	}
 }
 
-func TestObserveStoreJoinsTrace(t *testing.T) {
+// TestBracketedStoresJoinTrace: stores that reach the device through
+// the store bracket rather than a pmem writer — an application store
+// through a vmem mapping the pool observes, and Fill, the path SafePM's
+// shadow updates take — join the persistence trace with the bytes they
+// wrote.
+func TestBracketedStoresJoinTrace(t *testing.T) {
 	p := NewPool("t", 1<<12)
 	rec := &traceRecorder{}
 	p.EnableTracking(rec)
-	p.ObserveStore(64, 8)
-	if len(rec.stores) != 1 || rec.stores[0] != 64 {
-		t.Errorf("stores = %v, want [64]", rec.stores)
+	const base = 0x10000
+	as := vmem.New()
+	if err := as.Map(&vmem.Mapping{Base: base, Data: p.Data(), Name: p.Name(), Observer: p}); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.StoreU64(base+64, 0x0102030405060708); err != nil {
+		t.Fatal(err)
+	}
+	p.Fill(256, 3, 0xee)
+	wantOff := []uint64{64, 256}
+	wantData := [][]byte{{8, 7, 6, 5, 4, 3, 2, 1}, {0xee, 0xee, 0xee}}
+	if len(rec.stores) != len(wantOff) {
+		t.Fatalf("stores = %v, want %v", rec.stores, wantOff)
+	}
+	for i := range wantOff {
+		if rec.stores[i] != wantOff[i] || !bytes.Equal(rec.data[i], wantData[i]) {
+			t.Errorf("store %d = %d %x, want %d %x", i, rec.stores[i], rec.data[i], wantOff[i], wantData[i])
+		}
+	}
+}
+
+// TestEnableTrackingSnapshotsImage: the durable image starts as an
+// exact copy of the working image, including bytes on a page boundary
+// and in a short last page, which copyNonZero must not skip.
+func TestEnableTrackingSnapshotsImage(t *testing.T) {
+	p := NewPool("t", 3*4096+100)
+	p.WriteBytes(4095, []byte{1, 2})
+	p.WriteU64(2*4096+64, 0xfeed)
+	p.WriteBytes(p.Size()-1, []byte{9})
+	p.EnableTracking(nil)
+	img, err := p.DurableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img, p.Data()) {
+		t.Error("durable image differs from the working image it was enabled on")
+	}
+	if err := p.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Data()[4096] != 2 || p.ReadU64(2*4096+64) != 0xfeed || p.Data()[p.Size()-1] != 9 {
+		t.Error("crash lost bytes written before tracking was enabled")
 	}
 }
 

@@ -130,31 +130,24 @@ func (rt *Runtime) shadowIndex(off uint64) uint64 { return rt.shadowOff + off/sh
 // semantics at the tail.
 func (rt *Runtime) unpoison(off, size uint64) {
 	dev := rt.pool.Device()
-	data := dev.Data()
 	full := size / shadowScale
 	start := rt.shadowIndex(off)
-	for i := uint64(0); i < full; i++ {
-		data[start+i] = 0
+	if full > 0 {
+		dev.Fill(start, full, 0)
 	}
 	if rem := size % shadowScale; rem != 0 {
-		data[start+full] = byte(rem)
+		dev.Fill(start+full, 1, byte(rem))
 	}
-	granules := (size + shadowScale - 1) / shadowScale
-	dev.ObserveStore(start, granules)
-	dev.Persist(start, granules)
+	dev.Persist(start, (size+shadowScale-1)/shadowScale)
 }
 
 // setShadow fills the shadow for [off, off+size) with v.
 func (rt *Runtime) setShadow(off, size uint64, v byte) {
 	pmLatency() // shadow updates write persistent memory
 	dev := rt.pool.Device()
-	data := dev.Data()
 	start := rt.shadowIndex(off)
 	granules := (size + shadowScale - 1) / shadowScale
-	for i := uint64(0); i < granules; i++ {
-		data[start+i] = v
-	}
-	dev.ObserveStore(start, granules)
+	dev.Fill(start, granules, v)
 	dev.Persist(start, granules)
 }
 

@@ -54,11 +54,14 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("vmem: fault: invalid %s of %d bytes at 0x%x", e.Kind, e.Size, e.Addr)
 }
 
-// StoreObserver is notified after every store that lands in a mapping
-// registered with an observer. The persistent-memory device uses it to
+// StoreObserver brackets every store that lands in a mapping registered
+// with an observer: BeginStore runs before the bytes are touched and
+// EndStore, handed BeginStore's result, after. The persistent-memory
+// device uses the bracket to order stores against its fences and to
 // record store events for crash-consistency checking.
 type StoreObserver interface {
-	ObserveStore(off, size uint64)
+	BeginStore(off, size uint64) bool
+	EndStore(off, size uint64, began bool)
 }
 
 // Mapping is a contiguous region of the address space backed by a byte
@@ -70,9 +73,21 @@ type Mapping struct {
 	Data []byte
 	// Name identifies the mapping in diagnostics.
 	Name string
-	// Observer, if non-nil, is notified of stores with offsets relative
-	// to Base.
+	// Observer, if non-nil, brackets stores with offsets relative to
+	// Base.
 	Observer StoreObserver
+}
+
+// beginStore and endStore bracket a store at off when the mapping has
+// an observer.
+func (m *Mapping) beginStore(off, size uint64) bool {
+	return m.Observer != nil && m.Observer.BeginStore(off, size)
+}
+
+func (m *Mapping) endStore(off, size uint64, began bool) {
+	if m.Observer != nil {
+		m.Observer.EndStore(off, size, began)
+	}
 }
 
 func (m *Mapping) contains(addr Addr, size uint64) bool {
@@ -158,8 +173,8 @@ func (as *AddressSpace) Resolve(addr Addr, size uint64, kind AccessKind) (*Mappi
 
 // Slice returns a view of mapped memory for [addr, addr+size). The view
 // aliases the backing array: writes through it are visible but bypass
-// store observers, so it must only be used for reads or for regions
-// whose mapping has no observer.
+// the store observer's bracket, so it must only be used for reads or for
+// regions whose mapping has no observer.
 func (as *AddressSpace) Slice(addr Addr, size uint64) ([]byte, error) {
 	m, err := as.Resolve(addr, size, Load)
 	if err != nil {
@@ -215,10 +230,9 @@ func (as *AddressSpace) StoreU8(addr Addr, v byte) error {
 		return err
 	}
 	off := addr - m.Base
+	began := m.beginStore(off, 1)
 	m.Data[off] = v
-	if m.Observer != nil {
-		m.Observer.ObserveStore(off, 1)
-	}
+	m.endStore(off, 1, began)
 	return nil
 }
 
@@ -229,10 +243,9 @@ func (as *AddressSpace) StoreU16(addr Addr, v uint16) error {
 		return err
 	}
 	off := addr - m.Base
+	began := m.beginStore(off, 2)
 	binary.LittleEndian.PutUint16(m.Data[off:], v)
-	if m.Observer != nil {
-		m.Observer.ObserveStore(off, 2)
-	}
+	m.endStore(off, 2, began)
 	return nil
 }
 
@@ -243,10 +256,9 @@ func (as *AddressSpace) StoreU32(addr Addr, v uint32) error {
 		return err
 	}
 	off := addr - m.Base
+	began := m.beginStore(off, 4)
 	binary.LittleEndian.PutUint32(m.Data[off:], v)
-	if m.Observer != nil {
-		m.Observer.ObserveStore(off, 4)
-	}
+	m.endStore(off, 4, began)
 	return nil
 }
 
@@ -257,10 +269,9 @@ func (as *AddressSpace) StoreU64(addr Addr, v uint64) error {
 		return err
 	}
 	off := addr - m.Base
+	began := m.beginStore(off, 8)
 	binary.LittleEndian.PutUint64(m.Data[off:], v)
-	if m.Observer != nil {
-		m.Observer.ObserveStore(off, 8)
-	}
+	m.endStore(off, 8, began)
 	return nil
 }
 
@@ -295,10 +306,9 @@ func (as *AddressSpace) StoreBytes(addr Addr, b []byte) error {
 		return err
 	}
 	off := addr - m.Base
+	began := m.beginStore(off, uint64(len(b)))
 	copy(m.Data[off:], b)
-	if m.Observer != nil {
-		m.Observer.ObserveStore(off, uint64(len(b)))
-	}
+	m.endStore(off, uint64(len(b)), began)
 	return nil
 }
 
@@ -318,10 +328,9 @@ func (as *AddressSpace) Memmove(dst, src Addr, n uint64) error {
 	}
 	soff := src - sm.Base
 	doff := dst - dm.Base
+	began := dm.beginStore(doff, n)
 	copy(dm.Data[doff:doff+n], sm.Data[soff:soff+n])
-	if dm.Observer != nil {
-		dm.Observer.ObserveStore(doff, n)
-	}
+	dm.endStore(doff, n, began)
 	return nil
 }
 
@@ -335,13 +344,12 @@ func (as *AddressSpace) Memset(dst Addr, c byte, n uint64) error {
 		return err
 	}
 	off := dst - m.Base
+	began := m.beginStore(off, n)
 	region := m.Data[off : off+n]
 	for i := range region {
 		region[i] = c
 	}
-	if m.Observer != nil {
-		m.Observer.ObserveStore(off, n)
-	}
+	m.endStore(off, n, began)
 	return nil
 }
 

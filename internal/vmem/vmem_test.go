@@ -3,6 +3,7 @@ package vmem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -226,35 +227,77 @@ func TestSliceAliasesBacking(t *testing.T) {
 	}
 }
 
+// recordingObserver logs each bracketed store and checks the bracket's
+// shape: every store in the test writes non-zero bytes into zeroed
+// memory, so BeginStore must still see zeros and EndStore the written
+// bytes.
 type recordingObserver struct {
 	mu     sync.Mutex
-	events []uint64 // packed off<<8 | size
+	data   []byte
+	events []uint64 // packed off<<8 | size, appended by EndStore
+	open   int      // stores begun and not yet ended
+	errs   []string
 }
 
-func (r *recordingObserver) ObserveStore(off, size uint64) {
+func (r *recordingObserver) written(off, size uint64) bool {
+	for _, b := range r.data[off : off+size] {
+		if b == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *recordingObserver) BeginStore(off, size uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.open != 0 || r.written(off, 1) {
+		r.errs = append(r.errs, fmt.Sprintf("BeginStore(%#x, %d) after the write or inside another store", off, size))
+	}
+	r.open++
+	return true
+}
+
+func (r *recordingObserver) EndStore(off, size uint64, began bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !began || r.open != 1 || !r.written(off, size) {
+		r.errs = append(r.errs, fmt.Sprintf("EndStore(%#x, %d) before the write or without a BeginStore", off, size))
+	}
+	r.open--
 	r.events = append(r.events, off<<8|size)
 }
 
 func TestStoreObserver(t *testing.T) {
-	obs := &recordingObserver{}
+	data := make([]byte, 0x100)
+	obs := &recordingObserver{data: data}
 	as := New()
-	if err := as.Map(&Mapping{Base: 0x1000, Data: make([]byte, 0x100), Name: "obs", Observer: obs}); err != nil {
+	if err := as.Map(&Mapping{Base: 0x1000, Data: data, Name: "obs", Observer: obs}); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.StoreU64(0x1008, 1); err != nil {
-		t.Fatal(err)
+	stores := []func() error{
+		func() error { return as.StoreU64(0x1008, 0x0101010101010101) },
+		func() error { return as.StoreBytes(0x1010, []byte{1, 2, 3}) },
+		func() error { return as.StoreU8(0x1020, 1) },
+		func() error { return as.StoreU16(0x1022, 0x0101) },
+		func() error { return as.StoreU32(0x1024, 0x01010101) },
+		func() error { return as.Memmove(0x1030, 0x1008, 8) },
+		func() error { return as.Memset(0x1040, 0xaa, 5) },
 	}
-	if err := as.StoreBytes(0x1010, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
+	for _, store := range stores {
+		if err := store(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := as.LoadU64(0x1008); err != nil {
 		t.Fatal(err)
 	}
-	want := []uint64{8<<8 | 8, 0x10<<8 | 3}
+	want := []uint64{8<<8 | 8, 0x10<<8 | 3, 0x20<<8 | 1, 0x22<<8 | 2, 0x24<<8 | 4, 0x30<<8 | 8, 0x40<<8 | 5}
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
+	for _, e := range obs.errs {
+		t.Error(e)
+	}
 	if len(obs.events) != len(want) {
 		t.Fatalf("observer saw %d events, want %d", len(obs.events), len(want))
 	}
