@@ -43,7 +43,6 @@ var experiments = []experiment{
 	{"steal", "cross-arena steal rates under skewed size classes (DESIGN.md §11)", bench.Steal},
 	{"compile", "closure compilation vs reference interpreter (DESIGN.md §14)", bench.Compile},
 	{"serve", "KV service under closed-loop load (DESIGN.md §15)", bench.ServeBench},
-	{"scan", "snapshot reads and range scans under write storm (DESIGN.md §17)", bench.ScanBench},
 }
 
 func main() {

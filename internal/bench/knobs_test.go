@@ -19,7 +19,7 @@ func TestKnobsSurviveTranslation(t *testing.T) {
 }
 
 // TestScalingKeepsKnobs: each Scaling column overrides the arena count
-// and nothing else, so -no-mvcc, -flight or -metrics-sample reach the
+// and nothing else, so -metrics, -flight or -metrics-sample reach the
 // measured store.
 func TestScalingKeepsKnobs(t *testing.T) {
 	cfg := Config{Knobs: enginetest.Filled()}

@@ -13,19 +13,12 @@ package engine
 import "flag"
 
 // Knobs are the volatile engine knobs — tuning and observability: they
-// shape rebuilt in-memory structure, the kvstore read path and
-// telemetry, never the persistent layout, so any pool may be opened
-// under any combination.
+// shape rebuilt in-memory structure and telemetry, never the
+// persistent layout, so any pool may be opened under any combination.
 type Knobs struct {
 	// NArenas is the number of heap arenas (independent allocator
 	// shards); the pool default when zero.
 	NArenas int
-	// NoMVCC turns off multi-version snapshot isolation in the
-	// kvstore: reads take the per-shard RWMutex like writers instead of
-	// running lock-free against published copy-on-write roots, and
-	// Snapshot falls back to locked reads. The ablation baseline for
-	// -exp scan.
-	NoMVCC bool
 	// Telemetry turns on the global metrics registry; process-wide
 	// once set (see internal/telemetry).
 	Telemetry bool
@@ -65,7 +58,6 @@ type Geometry struct {
 // so the mapping cannot drift.
 var knobFlags = map[string]string{
 	"NArenas":        "arenas",
-	"NoMVCC":         "no-mvcc",
 	"Telemetry":      "metrics",
 	"FlightRecorder": "flight",
 	"TraceSample":    "trace-sample",
@@ -80,8 +72,6 @@ func RegisterFlags(fs *flag.FlagSet) *Knobs {
 	k := &Knobs{}
 	fs.IntVar(&k.NArenas, knobFlags["NArenas"], 0,
 		"allocator arena count (0 = pool default)")
-	fs.BoolVar(&k.NoMVCC, knobFlags["NoMVCC"], false,
-		"disable MVCC snapshot isolation; kvstore reads take shard locks")
 	fs.BoolVar(&k.Telemetry, knobFlags["Telemetry"], false,
 		"enable the telemetry metrics registry")
 	fs.BoolVar(&k.FlightRecorder, knobFlags["FlightRecorder"], false,

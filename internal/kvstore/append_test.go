@@ -5,59 +5,57 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/variant"
 )
 
 var raceEnabled bool
 
 // TestAppendGetAllocs: with room in the caller's buffer a lookup
-// allocates nothing, in either read mode — the value's one copy out of
-// PM is the only copy. Get is the same call with no buffer and pays for
-// exactly the slice it returns.
+// allocates nothing — the value's one copy out of PM is the only copy.
+// Get is the same call with no buffer and pays for exactly the slice it
+// returns. The subtests keep the names they had beside a locked read
+// mode, since removed.
 func TestAppendGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, kind := range []variant.Kind{variant.PMDK, variant.SPP} {
-		for _, noMVCC := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/noMVCC=%v", kind, noMVCC), func(t *testing.T) {
-				s, _ := newStoreKnobs(t, kind, engine.Knobs{NoMVCC: noMVCC})
-				const n = 512
-				key := func(i int) []byte { return []byte(fmt.Sprintf("%016d", i)) }
-				for i := 0; i < n; i++ {
-					if err := s.Put(key(i), bytes.Repeat([]byte{byte(i)}, 256)); err != nil {
-						t.Fatal(err)
-					}
+		t.Run(string(kind)+"/noMVCC=false", func(t *testing.T) {
+			s, _ := newStore(t, kind)
+			const n = 512
+			key := func(i int) []byte { return []byte(fmt.Sprintf("%016d", i)) }
+			for i := 0; i < n; i++ {
+				if err := s.Put(key(i), bytes.Repeat([]byte{byte(i)}, 256)); err != nil {
+					t.Fatal(err)
 				}
-				keys := make([][]byte, n)
-				for i := range keys {
-					keys[i] = key(i)
+			}
+			keys := make([][]byte, n)
+			for i := range keys {
+				keys[i] = key(i)
+			}
+			buf := make([]byte, 0, 5+256)
+			i := 0
+			check := func(out []byte, ok bool, err error) {
+				if err != nil || !ok || len(out) != 256 || out[0] != byte(i) {
+					t.Fatalf("key %d: %d bytes, %v, %v", i, len(out), ok, err)
 				}
-				buf := make([]byte, 0, 5+256)
-				i := 0
-				check := func(out []byte, ok bool, err error) {
-					if err != nil || !ok || len(out) != 256 || out[0] != byte(i) {
-						t.Fatalf("key %d: %d bytes, %v, %v", i, len(out), ok, err)
-					}
-					i = (i + 1) % n
-				}
-				if allocs := testing.AllocsPerRun(2*n, func() {
-					out, ok, err := s.AppendGet(buf[:5], keys[i])
-					check(out[5:], ok, err)
-				}); allocs != 0 {
-					t.Errorf("AppendGet into a buffer with room allocates %.0f times, want 0", allocs)
-				}
-				if allocs := testing.AllocsPerRun(2*n, func() {
-					check(s.Get(keys[i]))
-				}); allocs != 1 {
-					t.Errorf("Get allocates %.0f times, want 1 (the value)", allocs)
-				}
-				if _, ok, err := s.AppendGet(buf[:5], []byte("absent")); ok || err != nil {
-					t.Errorf("absent key: ok=%v err=%v", ok, err)
-				}
-			})
-		}
+				i = (i + 1) % n
+			}
+			if allocs := testing.AllocsPerRun(2*n, func() {
+				out, ok, err := s.AppendGet(buf[:5], keys[i])
+				check(out[5:], ok, err)
+			}); allocs != 0 {
+				t.Errorf("AppendGet into a buffer with room allocates %.0f times, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(2*n, func() {
+				check(s.Get(keys[i]))
+			}); allocs != 1 {
+				t.Errorf("Get allocates %.0f times, want 1 (the value)", allocs)
+			}
+			if _, ok, err := s.AppendGet(buf[:5], []byte("absent")); ok || err != nil {
+				t.Errorf("absent key: ok=%v err=%v", ok, err)
+			}
+		})
 	}
 }
 

@@ -62,7 +62,7 @@ func TestFoldedReclaimCrashExplored(t *testing.T) {
 		// afterTxFree: the failure is injected past the fold's TxFree
 		// calls. SafePM and memcheck update their shadow state there and
 		// hear of no abort, so only the variants without shadow state
-		// can go on using the live store (which is why writeMVCC folds
+		// can go on using the live store (which is why write folds
 		// after its last allocation, the failure a healthy store has).
 		afterTxFree bool
 	}{

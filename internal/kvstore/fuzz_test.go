@@ -9,10 +9,10 @@ import (
 	"repro/internal/variant"
 )
 
-// reopenStore adopts dev as a restarted process would and opens its
-// store.
-func reopenStore(kind variant.Kind, dev *pmem.Pool) (*Store, error) {
-	env, err := variant.AdoptConfig(kind, dev, variant.Options{})
+// reopenStore adopts dev as a restarted process would, with the
+// options its first process ran under, and opens its store.
+func reopenStore(kind variant.Kind, dev *pmem.Pool, opts variant.Options) (*Store, error) {
+	env, err := variant.AdoptConfig(kind, dev, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func FuzzKVScanModel(f *testing.F) {
 				if a&1 == 1 {
 					env = legacyImage(t, variant.SPP, opts, 2, model)
 				}
-				if s, err = reopenStore(variant.SPP, env.Dev); err != nil {
+				if s, err = reopenStore(variant.SPP, env.Dev, opts); err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
 			}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/pmemobj"
 	"repro/internal/telemetry"
@@ -35,7 +34,7 @@ func checkRootIndex(t testing.TB, s *Store, root *shardRoot) {
 	if root.index == nil {
 		t.Fatal("root carries no index")
 	}
-	want, err := s.collectRange(newCtx(s.rt), root, nil, nil, false)
+	want, err := s.collectRange(newCtx(s.rt), root, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +423,8 @@ func TestIndexRehashReclaimUnderPin(t *testing.T) {
 func TestIndexVolatileAcrossCrash(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	env, err := variant.New(variant.SPP, variant.Options{PoolSize: 32 << 20})
+	opts := variant.Options{PoolSize: 32 << 20}
+	env, err := variant.New(variant.SPP, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestIndexVolatileAcrossCrash(t *testing.T) {
 	if err := env.Dev.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := reopenStore(variant.SPP, env.Dev)
+	s2, err := reopenStore(variant.SPP, env.Dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,59 +468,52 @@ func TestIndexVolatileAcrossCrash(t *testing.T) {
 
 // TestScanFaultVerdictsMatchLocked extends the differential safety
 // test to scans: with an entry's stored value length inflated past its
-// allocation, the index path, the snapshot walk and the locked walk
-// must reach the same verdict — and where the variant stays silent,
-// the same rows, the victim's over-read to the same length (what lies
-// past an allocation depends on where the allocator put it).
+// allocation, the index path, the snapshot walk and the locked walk of
+// the persistent bucket heads, all over the same store, must reach the
+// same verdict — and where the variant stays silent, the same rows, the
+// victim's over-read to the same length.
 func TestScanFaultVerdictsMatchLocked(t *testing.T) {
 	for _, kind := range variant.Kinds {
 		t.Run(string(kind), func(t *testing.T) {
+			s, env := newStore(t, kind)
+			for i := 0; i < 20; i++ {
+				k := fmt.Sprintf("f%02d", i)
+				if err := s.Put([]byte(k), []byte("0123456789abcdef")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sn := s.Snapshot() // pinned before activation: its roots stay un-indexed
+			defer sn.Release()
+			if err := s.Scan(nil, nil, func(_, _ []byte) bool { return false }); err != nil {
+				t.Fatal(err)
+			}
+			victim := []byte("f07")
+			c := newCtx(s.rt)
+			sh := s.shardFor(hashKey(victim))
+			root, err := s.loadRoot(c, sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, entry, _ := s.findChain(c, sh, root, s.bucketOf(hashKey(victim), root.nbuckets), victim)
+			if entry.IsNull() {
+				t.Fatal("victim entry not found")
+			}
+			env.Dev.Data()[entry.Off+enVLen] += 64
+
 			type outcome struct {
 				rows []string
 				err  error
 			}
-			run := func(noMVCC, preActivation bool) outcome {
-				s, env := newStoreKnobs(t, kind, engine.Knobs{NoMVCC: noMVCC})
-				for i := 0; i < 20; i++ {
-					k := fmt.Sprintf("f%02d", i)
-					if err := s.Put([]byte(k), []byte("0123456789abcdef")); err != nil {
-						t.Fatal(err)
-					}
-				}
-				sn := s.Snapshot() // un-indexed roots when pinned first
-				defer sn.Release()
-				if !preActivation {
-					if err := s.Scan(nil, nil, func(_, _ []byte) bool { return false }); err != nil {
-						t.Fatal(err)
-					}
-				}
-				victim := []byte("f07")
-				c := newCtx(s.rt)
-				var entry pmemobj.Oid
-				sh := s.shardFor(hashKey(victim))
-				root, err := s.loadRoot(c, sh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, entry, _ = s.findChain(c, sh, root, s.bucketOf(hashKey(victim), root.nbuckets), victim)
-				if entry.IsNull() {
-					t.Fatal("victim entry not found")
-				}
-				raw := env.Dev.Data()
-				raw[entry.Off+enVLen] += 64
+			run := func(scan func(lo, hi []byte, fn func(k, v []byte) bool) error) outcome {
 				var o outcome
-				scan := s.Scan
-				if preActivation {
-					scan = sn.Scan
-				}
 				o.err = scan(nil, nil, func(k, v []byte) bool {
 					o.rows = append(o.rows, fmt.Sprintf("%s=%s+%d", k, v[:16], len(v)-16))
 					return true
 				})
 				return o
 			}
-			locked := run(true, false)
-			for name, got := range map[string]outcome{"index": run(false, false), "snapshot-walk": run(false, true)} {
+			locked := run(s.lockedScan)
+			for name, got := range map[string]outcome{"index": run(s.Scan), "snapshot-walk": run(sn.Scan)} {
 				if (locked.err == nil) != (got.err == nil) ||
 					hooks.IsSafetyTrap(locked.err) != hooks.IsSafetyTrap(got.err) {
 					t.Fatalf("%s: verdicts diverge: locked err=%v, %s err=%v", name, locked.err, name, got.err)

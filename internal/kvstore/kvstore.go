@@ -4,13 +4,11 @@
 // volatile per-shard locks rebuilt on open and all persistent updates
 // running inside transactions.
 //
-// By default the store runs with MVCC snapshot isolation (DESIGN.md
-// §17): writers copy-on-write the chains they touch and publish
-// immutable per-shard roots, readers pin an epoch and traverse with no
-// locks, and superseded versions are reclaimed through persistent
-// retire chains once the last pinning reader moves past them. The
-// NoMVCC knob restores the plain locked read path as the ablation
-// baseline.
+// The store runs with MVCC snapshot isolation (DESIGN.md §17): writers
+// copy-on-write the chains they touch and publish immutable per-shard
+// roots, readers pin an epoch and traverse with no locks, and
+// superseded versions are reclaimed through persistent retire chains
+// once the last pinning reader moves past them.
 //
 // Like every application in this repository, all PM accesses go
 // through the hooks.Runtime instrumentation surface, so the store runs
@@ -42,11 +40,10 @@ type Store struct {
 	// pmaccess.New derives from the runtime, derived once.
 	proto ctx
 
-	// MVCC state (unused when the pool runs NoMVCC): the global
-	// version epoch, the pinned-epoch refcounts gating reclamation, and
-	// minPin caching the smallest pinned epoch (^0 when none) so
-	// writers check reclaim eligibility with one atomic load.
-	mvcc   bool
+	// MVCC state: the global version epoch, the pinned-epoch refcounts
+	// gating reclamation, and minPin caching the smallest pinned epoch
+	// (^0 when none) so writers check reclaim eligibility with one
+	// atomic load.
 	epoch  atomic.Uint64
 	pinMu  sync.Mutex
 	pins   map[uint64]int
@@ -59,11 +56,13 @@ type Store struct {
 }
 
 type shard struct {
-	mu  sync.RWMutex
+	// mu serialises the shard's writers; Get, Scan and Count never
+	// take it.
+	mu  sync.Mutex
 	hdr pmemobj.Oid
 
-	// root is the published immutable view (MVCC only): writers swap
-	// in a fresh shardRoot per mutation, readers load it lock-free.
+	// root is the published immutable view: writers swap in a fresh
+	// shardRoot per mutation, readers load it lock-free.
 	root atomic.Pointer[shardRoot]
 	// retired queues this shard's superseded-version batches, oldest
 	// first, each backed by a persistent retire node; retireTail is
@@ -144,7 +143,6 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 	}
 	pool := rt.Pool()
 	s := &Store{rt: rt, pool: pool, oidSize: int64(pool.OidPersistedSize()), proto: *newCtx(rt)}
-	s.mvcc = pool.MVCC()
 	s.pins = make(map[uint64]int)
 	s.minPin.Store(^uint64(0))
 	root, err := rt.Root(s.rootSize())
@@ -194,17 +192,15 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 			return nil, err
 		}
 	}
-	if s.mvcc {
-		for i := range s.shards {
-			r, err := s.loadRoot(c, &s.shards[i])
-			if err != nil {
-				return nil, err
-			}
-			s.shards[i].root.Store(r)
+	for i := range s.shards {
+		r, err := s.loadRoot(c, &s.shards[i])
+		if err != nil {
+			return nil, err
 		}
-		if telemetry.On() {
-			s.registerTelemetry()
-		}
+		s.shards[i].root.Store(r)
+	}
+	if telemetry.On() {
+		s.registerTelemetry()
 	}
 	return s, nil
 }
@@ -260,7 +256,7 @@ func (s *Store) layoutShards(c *ctx, tx *pmemobj.Tx, nshards uint64) pmemobj.Oid
 // is stamped in a transaction of its own. Re-bucketing is idempotent
 // and nothing is served before the stamp, so a crash in between just
 // migrates again at the next open. It runs before any root is
-// published, which is why relinking in place is safe under MVCC too.
+// published, which is why relinking in place is safe.
 func (s *Store) migratePlacement(root pmemobj.Oid) error {
 	c := newCtx(s.rt)
 	for i := range s.shards {
@@ -269,7 +265,7 @@ func (s *Store) migratePlacement(root pmemobj.Oid) error {
 		if err := c.Take(); err != nil {
 			return err
 		}
-		if err := s.rehash(c, sh, n, n); err != nil {
+		if err := s.rehash(c, sh, n); err != nil {
 			return err
 		}
 	}
@@ -326,44 +322,22 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) { return s.AppendGet(nil, 
 // AppendGet appends the value stored under key to dst and returns the
 // extended slice: the value leaves PM through one hook-checked copy,
 // straight into the caller's buffer. When the key is absent or the
-// lookup fails dst comes back as it was. Under MVCC the lookup pins the
-// current epoch and walks the shard's published root with no shard
-// lock; under NoMVCC it holds the shard's read lock.
+// lookup fails dst comes back as it was. The lookup pins the current
+// epoch and walks the shard's published root with no shard lock.
 func (s *Store) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	h := hashKey(key)
-	sh := s.shardFor(h)
 	c := s.proto
-	if !s.mvcc {
-		return s.getLocked(&c, sh, dst, h, key)
-	}
 	e := s.pin()
-	root := sh.root.Load()
+	root := s.shardFor(h).root.Load()
 	dst, ok := s.appendValue(&c, dst, root.head(s.bucketOf(h, root.nbuckets)), key)
 	s.unpin(e)
-	return dst, ok, c.Take()
-}
-
-// getLocked is the NoMVCC read path: the shard read lock excludes
-// writers while the bucket head is read from PM and the chain walked.
-func (s *Store) getLocked(c *ctx, sh *shard, dst []byte, h uint64, key []byte) ([]byte, bool, error) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-
-	hp := c.Direct(sh.hdr)
-	n := c.Load(hp, shNBuckets)
-	if n == 0 {
-		return dst, false, c.Take()
-	}
-	buckets := c.LoadOid(hp, shBuckets)
-	head := c.LoadOid(c.Direct(buckets), int64(s.bucketOf(h, n))*s.oidSize)
-	dst, ok := s.appendValue(c, dst, head, key)
 	return dst, ok, c.Take()
 }
 
 // appendValue is the lookup every read shares: it walks the chain that
 // starts at entry for key and appends the value found to dst. Every
 // entry access goes through the instrumented accessor, so bounds and
-// tag checks fire alike on the locked and the snapshot path; a failure
+// tag checks fire alike on a store read and a snapshot read; a failure
 // stays pending on c and leaves dst as it was.
 func (s *Store) appendValue(c *ctx, dst []byte, entry pmemobj.Oid, key []byte) ([]byte, bool) {
 	var walked uint64
@@ -399,128 +373,22 @@ func (s *Store) PutTraced(tr *trace.Req, key, value []byte) (err error) {
 			metPuts.Inc()
 		}
 	}()
-	if s.mvcc {
-		_, err = s.writeMVCC(tr, key, value, false)
-		return err
-	}
-	h := hashKey(key)
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	acc := s.proto
-	c := &acc
-	c.Trace = tr
-	err = c.Run(func(tx *pmemobj.Tx) {
-		hp := c.Direct(sh.hdr)
-		n := c.Load(hp, shNBuckets)
-		buckets := c.LoadOid(hp, shBuckets)
-		field := int64(s.bucketOf(h, n)) * s.oidSize
-		bp := c.Direct(buckets)
-
-		// Replace in place when the key exists and the value fits the
-		// same allocation; otherwise unlink and reinsert.
-		prev := pmemobj.OidNull
-		entry := c.LoadOid(bp, field)
-		var walked uint64
-		defer func() { metProbeLength.Observe(walked) }()
-		for !entry.IsNull() && c.Err() == nil {
-			walked++
-			ep := c.Direct(entry)
-			if s.keyEqual(c, ep, key) {
-				if c.Load(ep, enVLen) == uint64(len(value)) {
-					c.Snapshot(tx, entry, s.entrySize(len(key), len(value)))
-					ep = c.Direct(entry)
-					if err := hooks.StoreBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), value); err != nil {
-						c.Fail(err)
-					}
-					return
-				}
-				next := c.LoadOid(ep, enNext)
-				if prev.IsNull() {
-					c.SnapshotField(tx, buckets, field, uint64(s.oidSize))
-					c.StoreOid(c.Direct(buckets), field, next)
-				} else {
-					c.SnapshotField(tx, prev, enNext, uint64(s.oidSize))
-					c.StoreOid(c.Direct(prev), enNext, next)
-				}
-				if err := c.RT.TxFree(tx, entry); err != nil {
-					c.Fail(err)
-					return
-				}
-				c.SnapshotField(tx, sh.hdr, shCount, 8)
-				nhp := c.Direct(sh.hdr)
-				c.Store(nhp, shCount, c.Load(nhp, shCount)-1)
-				break
-			}
-			prev = entry
-			entry = c.LoadOid(ep, enNext)
-		}
-		if c.Err() != nil {
-			return
-		}
-
-		fresh, err := c.RT.TxAlloc(tx, s.entrySize(len(key), len(value)))
-		if err != nil {
-			c.Fail(err)
-			return
-		}
-		fp := c.Direct(fresh)
-		c.Store(fp, enKLen, uint64(len(key)))
-		c.Store(fp, enVLen, uint64(len(value)))
-		c.StoreOid(fp, enNext, c.LoadOid(c.Direct(buckets), field))
-		if err := hooks.StoreBytes(c.RT, c.RT.Gep(fp, s.entryDataOff()), key); err != nil {
-			c.Fail(err)
-			return
-		}
-		if err := hooks.StoreBytes(c.RT, c.RT.Gep(fp, s.entryDataOff()+int64(len(key))), value); err != nil {
-			c.Fail(err)
-			return
-		}
-		c.SnapshotField(tx, buckets, field, uint64(s.oidSize))
-		c.StoreOid(c.Direct(buckets), field, fresh)
-		c.SnapshotField(tx, sh.hdr, shCount, 8)
-		nhp := c.Direct(sh.hdr)
-		c.Store(nhp, shCount, c.Load(nhp, shCount)+1)
-	})
-	if err != nil {
-		return err
-	}
-	return s.maybeRehash(sh, tr)
-}
-
-// maybeRehash grows a shard's bucket array when its load factor
-// exceeds one (NoMVCC path). Caller holds the shard lock. The work
-// attributes to the triggering request's maint phase.
-func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
-	acc := s.proto
-	c := &acc
-	c.Trace = tr
-	hp := c.Direct(sh.hdr)
-	count := c.Load(hp, shCount)
-	n := c.Load(hp, shNBuckets)
-	if err := c.Take(); err != nil {
-		return err
-	}
-	if count <= n {
-		return nil
-	}
-	span := tr.Span(trace.PhaseMaint)
-	defer span.End()
-	return s.rehash(c, sh, n, n*2)
+	_, err = s.write(tr, key, value, false)
+	return err
 }
 
 // rehash moves a shard's entries from its n buckets into a fresh array
-// of newN, relinking them in place, in one transaction. It walks every
+// of n, relinking them in place, in one transaction. It walks every
 // old bucket and places each entry by bucketOf alone, so it neither
-// needs nor trusts the bucket an entry was found in. Caller excludes
-// every reader and writer of the shard.
-func (s *Store) rehash(c *ctx, sh *shard, n, newN uint64) error {
+// needs nor trusts the bucket an entry was found in. Only open's
+// migratePlacement calls it, before any root is published, so nothing
+// can hold an entry it relinks.
+func (s *Store) rehash(c *ctx, sh *shard, n uint64) error {
 	start := time.Now()
 	err := c.Run(func(tx *pmemobj.Tx) {
 		hp := c.Direct(sh.hdr)
 		oldBuckets := c.LoadOid(hp, shBuckets)
-		fresh, err := s.rt.TxAlloc(tx, newN*uint64(s.oidSize))
+		fresh, err := s.rt.TxAlloc(tx, n*uint64(s.oidSize))
 		if err != nil {
 			c.Fail(err)
 			return
@@ -538,7 +406,7 @@ func (s *Store) rehash(c *ctx, sh *shard, n, newN uint64) error {
 					c.Fail(err)
 					return
 				}
-				field := int64(s.bucketOf(hashKey(kb), newN)) * s.oidSize
+				field := int64(s.bucketOf(hashKey(kb), n)) * s.oidSize
 				c.SnapshotField(tx, entry, enNext, uint64(s.oidSize))
 				ep = c.Direct(entry)
 				c.StoreOid(ep, enNext, c.LoadOid(np, field))
@@ -549,10 +417,8 @@ func (s *Store) rehash(c *ctx, sh *shard, n, newN uint64) error {
 		if c.Err() != nil {
 			return
 		}
-		c.SnapshotField(tx, sh.hdr, shNBuckets, 8+uint64(s.oidSize))
-		nhp := c.Direct(sh.hdr)
-		c.Store(nhp, shNBuckets, newN)
-		c.StoreOid(nhp, shBuckets, fresh)
+		c.SnapshotField(tx, sh.hdr, shBuckets, uint64(s.oidSize))
+		c.StoreOid(c.Direct(sh.hdr), shBuckets, fresh)
 		if err := c.RT.TxFree(tx, oldBuckets); err != nil {
 			c.Fail(err)
 		}
@@ -574,76 +440,15 @@ func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (removed bool, err error
 			hitOrMiss(removed, metDeletesHit, metDeletesMiss).Inc()
 		}
 	}()
-	if s.mvcc {
-		return s.writeMVCC(tr, key, nil, true)
-	}
-	h := hashKey(key)
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	acc := s.proto
-	c := &acc
-	c.Trace = tr
-	err = c.Run(func(tx *pmemobj.Tx) {
-		hp := c.Direct(sh.hdr)
-		n := c.Load(hp, shNBuckets)
-		buckets := c.LoadOid(hp, shBuckets)
-		field := int64(s.bucketOf(h, n)) * s.oidSize
-		prev := pmemobj.OidNull
-		entry := c.LoadOid(c.Direct(buckets), field)
-		var walked uint64
-		defer func() { metProbeLength.Observe(walked) }()
-		for !entry.IsNull() && c.Err() == nil {
-			walked++
-			ep := c.Direct(entry)
-			if s.keyEqual(c, ep, key) {
-				next := c.LoadOid(ep, enNext)
-				if prev.IsNull() {
-					c.SnapshotField(tx, buckets, field, uint64(s.oidSize))
-					c.StoreOid(c.Direct(buckets), field, next)
-				} else {
-					c.SnapshotField(tx, prev, enNext, uint64(s.oidSize))
-					c.StoreOid(c.Direct(prev), enNext, next)
-				}
-				if err := c.RT.TxFree(tx, entry); err != nil {
-					c.Fail(err)
-					return
-				}
-				c.SnapshotField(tx, sh.hdr, shCount, 8)
-				nhp := c.Direct(sh.hdr)
-				c.Store(nhp, shCount, c.Load(nhp, shCount)-1)
-				removed = true
-				return
-			}
-			prev = entry
-			entry = c.LoadOid(ep, enNext)
-		}
-	})
-	return removed, err
+	return s.write(tr, key, nil, true)
 }
 
-// Count returns the total number of keys. Under MVCC the counts come
-// straight from the published roots — no locks, no PM reads.
+// Count returns the total number of keys, summed from the published
+// roots: no locks, no PM reads.
 func (s *Store) Count() (uint64, error) {
-	if s.mvcc {
-		var total uint64
-		for i := range s.shards {
-			total += s.shards[i].root.Load().count
-		}
-		return total, nil
-	}
 	var total uint64
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		c := s.proto
-		total += c.Load(c.Direct(sh.hdr), shCount)
-		err := c.Take()
-		sh.mu.RUnlock()
-		if err != nil {
-			return 0, err
-		}
+		total += s.shards[i].root.Load().count
 	}
 	return total, nil
 }

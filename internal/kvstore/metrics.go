@@ -74,16 +74,16 @@ var (
 
 // registerTelemetry publishes this store's MVCC state gauges. GaugeFunc
 // replaces on re-registration, so they describe the most recently
-// opened MVCC store of a telemetry-enabled process.
+// opened store of a telemetry-enabled process.
 func (s *Store) registerTelemetry() {
 	reg := telemetry.Default
 	reg.GaugeFunc("spp_mvcc_retire_nodes_pending", "retire nodes queued for reclamation across the store's shards", func() int64 {
 		var n int64
 		for i := range s.shards {
 			sh := &s.shards[i]
-			sh.mu.RLock()
+			sh.mu.Lock()
 			n += int64(len(sh.retired))
-			sh.mu.RUnlock()
+			sh.mu.Unlock()
 		}
 		return n
 	})

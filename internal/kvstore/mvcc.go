@@ -7,7 +7,8 @@
 // shardRoot. Readers pin the global epoch, load roots with plain
 // atomic loads, and traverse with zero lock acquisitions; every entry
 // access still goes through the hooks.Runtime bounds checks, so SPP
-// verdicts on the snapshot path are identical to the locked path.
+// verdicts on the snapshot path are those of a locked walk of the
+// persistent bucket heads (the test oracle getLocked and lockedScan).
 //
 // Superseded versions are retired, not freed: the transaction that
 // publishes the new persistent bucket head also appends a retire node
@@ -220,21 +221,13 @@ type Snap struct {
 	s        *Store
 	epoch    uint64
 	roots    []*shardRoot
-	pinned   bool
 	released bool
 }
 
 // Snapshot pins the current epoch and captures every shard's published
-// root. Under NoMVCC the returned Snap falls back to the locked read
-// path — the ablation baseline — so callers need no mode branch.
+// root.
 func (s *Store) Snapshot() *Snap {
-	sn := &Snap{s: s}
-	if !s.mvcc {
-		return sn
-	}
-	sn.pinned = true
-	sn.epoch = s.pin()
-	sn.roots = make([]*shardRoot, len(s.shards))
+	sn := &Snap{s: s, epoch: s.pin(), roots: make([]*shardRoot, len(s.shards))}
 	for i := range s.shards {
 		sn.roots[i] = s.shards[i].root.Load()
 	}
@@ -245,9 +238,6 @@ func (s *Store) Snapshot() *Snap {
 func (sn *Snap) Get(key []byte) ([]byte, bool, error) {
 	if sn.released {
 		return nil, false, errReleased
-	}
-	if !sn.pinned {
-		return sn.s.Get(key)
 	}
 	s := sn.s
 	h := hashKey(key)
@@ -261,9 +251,6 @@ func (sn *Snap) Get(key []byte) ([]byte, bool, error) {
 func (sn *Snap) Count() (uint64, error) {
 	if sn.released {
 		return 0, errReleased
-	}
-	if !sn.pinned {
-		return sn.s.Count()
 	}
 	var total uint64
 	for _, r := range sn.roots {
@@ -279,8 +266,7 @@ func (sn *Snap) Count() (uint64, error) {
 // persistent-transaction frees or queues on shard locks.
 // Call Store.Reclaim for an explicit synchronous sweep. Idempotent.
 func (sn *Snap) Release() error {
-	if !sn.pinned || sn.released {
-		sn.released = true
+	if sn.released {
 		return nil
 	}
 	sn.released = true
@@ -466,12 +452,12 @@ func (s *Store) publish(sh *shard, root *shardRoot, hv *headVer, nodes []pmemobj
 	s.epoch.Add(1)
 }
 
-// writeMVCC is Put (del false) and Delete (del true) under snapshot
+// write is Put (del false) and Delete (del true) under snapshot
 // isolation: copy-on-write of the touched chain prefix, atomic root
 // publication, and — in the same transaction — reclamation of the
 // shard's oldest retire node. The result is Delete's: whether the key
 // was there (a put reports true).
-func (s *Store) writeMVCC(tr *trace.Req, key, value []byte, del bool) (bool, error) {
+func (s *Store) write(tr *trace.Req, key, value []byte, del bool) (bool, error) {
 	h := hashKey(key)
 	sh := s.shardFor(h)
 	sh.mu.Lock()
@@ -532,7 +518,7 @@ func (s *Store) writeMVCC(tr *trace.Req, key, value []byte, del bool) (bool, err
 	next, hv := root.withHead(b, newHead, delta, s.minPin.Load())
 	next.reindex(b, key, match, fresh, prefix, copies)
 	s.publish(sh, next, hv, nodes)
-	if err := s.maybeRehashMVCC(sh, tr); err != nil {
+	if err := s.maybeRehash(sh, tr); err != nil {
 		return true, err
 	}
 	// The batch just queued waits for the next write to the shard. Only
@@ -543,13 +529,13 @@ func (s *Store) writeMVCC(tr *trace.Req, key, value []byte, del bool) (bool, err
 	return true, nil
 }
 
-// maybeRehashMVCC doubles the bucket array when the load factor
-// exceeds one. Every entry is copied — published roots may reference
+// maybeRehash doubles the bucket array when the load factor exceeds
+// one. Every entry is copied — published roots may reference
 // any old entry, and relinking would mutate its next field — and the
 // old population retires as one batch. The old bucket array is freed
-// in-transaction: under MVCC no reader dereferences the persistent
-// bucket array. Caller holds sh.mu.
-func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
+// in-transaction: no reader dereferences the persistent bucket array.
+// Caller holds sh.mu.
+func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
 	root := sh.root.Load()
 	if root.count <= root.nbuckets {
 		return nil
@@ -809,13 +795,10 @@ func (s *Store) activateIndex() error {
 // Reclaim frees every retire batch no pinned snapshot can reference.
 // A writer frees one such batch per mutation, inside its transaction,
 // and leaves its own for the next; Reclaim is the explicit synchronous
-// sweep for quiescent stores (a test asserting
-// pool occupancy, or a caller that just released the last snapshot and
-// wants the space back now). A no-op under NoMVCC.
+// sweep for quiescent stores (a test asserting pool occupancy, or a
+// caller that just released the last snapshot and wants the space back
+// now).
 func (s *Store) Reclaim() error {
-	if !s.mvcc {
-		return nil
-	}
 	c := newCtx(s.rt)
 	for i := range s.shards {
 		sh := &s.shards[i]

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/pmem"
 	"repro/internal/pmemcheck"
@@ -29,8 +28,8 @@ func (o occupancy) occupiedShare() float64 {
 	return float64(o.occupied) / float64(o.buckets)
 }
 
-// measureOccupancy walks every shard's persistent chains (either read
-// mode) and checks on the way that each entry sits where bucketOf says.
+// measureOccupancy walks every shard's persistent chains and checks on
+// the way that each entry sits where bucketOf says.
 func measureOccupancy(t testing.TB, s *Store) occupancy {
 	t.Helper()
 	var o occupancy
@@ -118,7 +117,7 @@ func TestPlacementOccupancy(t *testing.T) {
 // legacyStore lays out in rt's pool the store a build from before the
 // placement word wrote — the root is {nshards, dir} and no longer — and
 // returns a handle legacyPut can fill. The handle has no volatile MVCC
-// state: the image is the same whichever mode later opens it.
+// state: it writes the persistent image and nothing else.
 func legacyStore(t testing.TB, rt hooks.Runtime, nshards uint64) *Store {
 	t.Helper()
 	pool := rt.Pool()
@@ -213,161 +212,159 @@ func readPlacement(t testing.TB, s *Store) uint64 {
 
 // TestLegacyImageMigrates: a version-0 image opens with every key
 // readable through every read path, the version stamped, the keys
-// spread, and not one block more allocated than before.
+// spread, and not one block more allocated than before. The subtests
+// keep the names they had beside a locked read mode, since removed.
 func TestLegacyImageMigrates(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
 	const n = 2500 // load factor 0.61 on 64 shards of 64 buckets
 	for _, kind := range variant.Kinds {
-		for _, noMVCC := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/noMVCC=%v", kind, noMVCC), func(t *testing.T) {
-				opts := variant.Options{PoolSize: 32 << 20, Knobs: engine.Knobs{NoMVCC: noMVCC}}
-				env := legacyImage(t, kind, opts, defaultShards, legacyPairs(n))
-				before := env.Pool.Stats()
-				migrations, rehashes := metLayoutMigrations.Load(), metRehashes.Load()
+		t.Run(string(kind)+"/noMVCC=false", func(t *testing.T) {
+			opts := variant.Options{PoolSize: 32 << 20}
+			env := legacyImage(t, kind, opts, defaultShards, legacyPairs(n))
+			before := env.Pool.Stats()
+			migrations, rehashes := metLayoutMigrations.Load(), metRehashes.Load()
 
-				s, err := Open(env.RT)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := readPlacement(t, s); got != placementVersion {
-					t.Errorf("placement word = %d after open, want %d", got, placementVersion)
-				}
-				if got := metLayoutMigrations.Load() - migrations; got != 1 {
-					t.Errorf("spp_kv_layout_migrations_total moved by %d, want 1", got)
-				}
-				if got := metRehashes.Load() - rehashes; got != defaultShards {
-					t.Errorf("spp_kv_rehashes_total moved by %d, want one per shard (%d)", got, defaultShards)
-				}
-				o := measureOccupancy(t, s)
-				if o.keys != n {
-					t.Fatalf("walk finds %d keys, image held %d", o.keys, n)
-				}
-				checkSpread(t, o)
+			s, err := Open(env.RT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := readPlacement(t, s); got != placementVersion {
+				t.Errorf("placement word = %d after open, want %d", got, placementVersion)
+			}
+			if got := metLayoutMigrations.Load() - migrations; got != 1 {
+				t.Errorf("spp_kv_layout_migrations_total moved by %d, want 1", got)
+			}
+			if got := metRehashes.Load() - rehashes; got != defaultShards {
+				t.Errorf("spp_kv_rehashes_total moved by %d, want one per shard (%d)", got, defaultShards)
+			}
+			o := measureOccupancy(t, s)
+			if o.keys != n {
+				t.Fatalf("walk finds %d keys, image held %d", o.keys, n)
+			}
+			checkSpread(t, o)
 
-				sn := s.Snapshot()
-				for i := 0; i < n; i++ {
-					for name, get := range map[string]func([]byte) ([]byte, bool, error){"Get": s.Get, "Snap.Get": sn.Get} {
-						if v, ok, err := get(ledgerKey(i)); err != nil || !ok || !bytes.Equal(v, legacyVal(i)) {
-							t.Fatalf("%s(%s) = %q, %v, %v", name, ledgerKey(i), v, ok, err)
-						}
+			sn := s.Snapshot()
+			for i := 0; i < n; i++ {
+				for name, get := range map[string]func([]byte) ([]byte, bool, error){"Get": s.Get, "Snap.Get": sn.Get} {
+					if v, ok, err := get(ledgerKey(i)); err != nil || !ok || !bytes.Equal(v, legacyVal(i)) {
+						t.Fatalf("%s(%s) = %q, %v, %v", name, ledgerKey(i), v, ok, err)
 					}
 				}
-				if err := sn.Release(); err != nil {
-					t.Fatal(err)
-				}
-				want := make([]string, n)
-				for i := range want {
-					want[i] = string(ledgerKey(i)) + "=" + string(legacyVal(i))
-				}
-				if got := scanAll(t, s.Scan, nil, nil); !slices.Equal(got, want) {
-					t.Fatalf("Scan returns %d rows, image held %d", len(got), n)
-				}
-				if cnt, err := s.Count(); err != nil || cnt != n {
-					t.Fatalf("Count = %d, %v", cnt, err)
-				}
-
-				if err := s.Reclaim(); err != nil {
-					t.Fatal(err)
-				}
-				after := env.Pool.Stats()
-				if after.AllocatedObjects != before.AllocatedObjects || after.AllocatedBytes != before.AllocatedBytes {
-					t.Errorf("migration changed occupancy: %d objects / %d bytes, image had %d / %d",
-						after.AllocatedObjects, after.AllocatedBytes, before.AllocatedObjects, before.AllocatedBytes)
-				}
-
-				// A second open finds the stamp and leaves the store alone.
-				if _, err := Open(env.RT); err != nil {
-					t.Fatal(err)
-				}
-				if got := metLayoutMigrations.Load() - migrations; got != 1 {
-					t.Errorf("reopening a migrated store migrated again (%d migrations)", got)
-				}
-			})
-		}
-	}
-}
-
-// TestLayoutTelemetry moves the hash-layout series in both read modes:
-// every point operation observes the entries it walked, a load-factor
-// doubling counts and times one rehash, and nothing moves while
-// telemetry is off.
-func TestLayoutTelemetry(t *testing.T) {
-	for _, noMVCC := range []bool{false, true} {
-		t.Run(fmt.Sprintf("noMVCC=%v", noMVCC), func(t *testing.T) {
-			env, err := variant.New(variant.SPP, variant.Options{PoolSize: 32 << 20, Knobs: engine.Knobs{NoMVCC: noMVCC}})
-			if err != nil {
+			}
+			if err := sn.Release(); err != nil {
 				t.Fatal(err)
 			}
-			s, err := Open(env.RT, WithShards(1))
-			if err != nil {
+			want := make([]string, n)
+			for i := range want {
+				want[i] = string(ledgerKey(i)) + "=" + string(legacyVal(i))
+			}
+			if got := scanAll(t, s.Scan, nil, nil); !slices.Equal(got, want) {
+				t.Fatalf("Scan returns %d rows, image held %d", len(got), n)
+			}
+			if cnt, err := s.Count(); err != nil || cnt != n {
+				t.Fatalf("Count = %d, %v", cnt, err)
+			}
+
+			if err := s.Reclaim(); err != nil {
 				t.Fatal(err)
 			}
-			type series struct{ probes, walked, rehashes, timed uint64 }
-			read := func() series {
-				return series{metProbeLength.Count(), metProbeLength.Sum(), metRehashes.Load(), metRehashNS.Count()}
-			}
-			moved := func(op func()) series {
-				t.Helper()
-				before := read()
-				op()
-				after := read()
-				return series{after.probes - before.probes, after.walked - before.walked,
-					after.rehashes - before.rehashes, after.timed - before.timed}
-			}
-			chain := sameBucketKeys(s, 3)
-			put := func(k []byte, v string) {
-				t.Helper()
-				if err := s.Put(k, []byte(v)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := moved(func() { put(chain[0], "off") }); got != (series{}) {
-				t.Errorf("telemetry off, yet a Put moved %+v", got)
-			}
-			telemetry.Enable()
-			t.Cleanup(telemetry.Disable)
-
-			// Inserts walk the chain to its end: 1 entry, then 2.
-			if got, want := moved(func() { put(chain[1], "v"); put(chain[2], "v") }), (series{probes: 2, walked: 3}); got != want {
-				t.Errorf("two inserts behind one entry moved %+v, want %+v", got, want)
-			}
-			// chain[0] went in first and sits deepest.
-			if got, want := moved(func() {
-				if _, ok, err := s.Get(chain[0]); err != nil || !ok {
-					t.Fatalf("Get = %v, %v", ok, err)
-				}
-			}), (series{probes: 1, walked: 3}); got != want {
-				t.Errorf("Get of the deepest of 3 moved %+v, want %+v", got, want)
-			}
-			if got, want := moved(func() {
-				if ok, err := s.Delete(chain[1]); err != nil || !ok {
-					t.Fatalf("Delete = %v, %v", ok, err)
-				}
-			}), (series{probes: 1, walked: 2}); got != want {
-				t.Errorf("Delete of the middle of 3 moved %+v, want %+v", got, want)
-			}
-			if got, want := moved(func() { put(chain[0], "a longer value") }), (series{probes: 1, walked: 2}); got != want {
-				t.Errorf("overwrite of the deeper of 2 moved %+v, want %+v", got, want)
-			}
-			if got := moved(func() {
-				for i := 0; i <= initialBuckets; i++ {
-					put([]byte(fmt.Sprintf("grow-%04d", i)), "v")
-				}
-			}); got.rehashes != 1 || got.timed != 1 {
-				t.Errorf("growing past load factor one moved %+v, want one timed rehash", got)
+			after := env.Pool.Stats()
+			if after.AllocatedObjects != before.AllocatedObjects || after.AllocatedBytes != before.AllocatedBytes {
+				t.Errorf("migration changed occupancy: %d objects / %d bytes, image had %d / %d",
+					after.AllocatedObjects, after.AllocatedBytes, before.AllocatedObjects, before.AllocatedBytes)
 			}
 
-			var sb bytes.Buffer
-			telemetry.Default.WriteProm(&sb)
-			for _, name := range []string{"spp_kv_probe_length", "spp_kv_rehashes_total",
-				"spp_kv_rehash_ns", "spp_kv_layout_migrations_total"} {
-				if !bytes.Contains(sb.Bytes(), []byte("# HELP "+name+" ")) {
-					t.Errorf("%s has no help text in the exposition", name)
-				}
+			// A second open finds the stamp and leaves the store alone.
+			if _, err := Open(env.RT); err != nil {
+				t.Fatal(err)
+			}
+			if got := metLayoutMigrations.Load() - migrations; got != 1 {
+				t.Errorf("reopening a migrated store migrated again (%d migrations)", got)
 			}
 		})
 	}
+}
+
+// TestLayoutTelemetry moves the hash-layout series: every point
+// operation observes the entries it walked, a load-factor doubling
+// counts and times one rehash, and nothing moves while telemetry is
+// off. The subtest keeps the name it had beside a locked read mode,
+// since removed.
+func TestLayoutTelemetry(t *testing.T) {
+	t.Run("noMVCC=false", func(t *testing.T) {
+		env, err := variant.New(variant.SPP, variant.Options{PoolSize: 32 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(env.RT, WithShards(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		type series struct{ probes, walked, rehashes, timed uint64 }
+		read := func() series {
+			return series{metProbeLength.Count(), metProbeLength.Sum(), metRehashes.Load(), metRehashNS.Count()}
+		}
+		moved := func(op func()) series {
+			t.Helper()
+			before := read()
+			op()
+			after := read()
+			return series{after.probes - before.probes, after.walked - before.walked,
+				after.rehashes - before.rehashes, after.timed - before.timed}
+		}
+		chain := sameBucketKeys(s, 3)
+		put := func(k []byte, v string) {
+			t.Helper()
+			if err := s.Put(k, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := moved(func() { put(chain[0], "off") }); got != (series{}) {
+			t.Errorf("telemetry off, yet a Put moved %+v", got)
+		}
+		telemetry.Enable()
+		t.Cleanup(telemetry.Disable)
+
+		// Inserts walk the chain to its end: 1 entry, then 2.
+		if got, want := moved(func() { put(chain[1], "v"); put(chain[2], "v") }), (series{probes: 2, walked: 3}); got != want {
+			t.Errorf("two inserts behind one entry moved %+v, want %+v", got, want)
+		}
+		// chain[0] went in first and sits deepest.
+		if got, want := moved(func() {
+			if _, ok, err := s.Get(chain[0]); err != nil || !ok {
+				t.Fatalf("Get = %v, %v", ok, err)
+			}
+		}), (series{probes: 1, walked: 3}); got != want {
+			t.Errorf("Get of the deepest of 3 moved %+v, want %+v", got, want)
+		}
+		if got, want := moved(func() {
+			if ok, err := s.Delete(chain[1]); err != nil || !ok {
+				t.Fatalf("Delete = %v, %v", ok, err)
+			}
+		}), (series{probes: 1, walked: 2}); got != want {
+			t.Errorf("Delete of the middle of 3 moved %+v, want %+v", got, want)
+		}
+		if got, want := moved(func() { put(chain[0], "a longer value") }), (series{probes: 1, walked: 2}); got != want {
+			t.Errorf("overwrite of the deeper of 2 moved %+v, want %+v", got, want)
+		}
+		if got := moved(func() {
+			for i := 0; i <= initialBuckets; i++ {
+				put([]byte(fmt.Sprintf("grow-%04d", i)), "v")
+			}
+		}); got.rehashes != 1 || got.timed != 1 {
+			t.Errorf("growing past load factor one moved %+v, want one timed rehash", got)
+		}
+
+		var sb bytes.Buffer
+		telemetry.Default.WriteProm(&sb)
+		for _, name := range []string{"spp_kv_probe_length", "spp_kv_rehashes_total",
+			"spp_kv_rehash_ns", "spp_kv_layout_migrations_total"} {
+			if !bytes.Contains(sb.Bytes(), []byte("# HELP "+name+" ")) {
+				t.Errorf("%s has no help text in the exposition", name)
+			}
+		}
+	})
 }
 
 // TestNewerPlacementRefused: an image stamped by a later build's rule
@@ -391,65 +388,64 @@ func TestNewerPlacementRefused(t *testing.T) {
 }
 
 // TestMigrationCrashExplored crashes the open of a version-0 image at
-// every fence of its migration, in both modes: each crash image must
-// open again to the full key set, stamped, with exactly the blocks the
-// uninterrupted migration ends with.
+// every fence of its migration: each crash image must open again to the
+// full key set, stamped, with exactly the blocks the uninterrupted
+// migration ends with. The subtest keeps the name it had beside a
+// locked read mode, since removed.
 func TestMigrationCrashExplored(t *testing.T) {
 	const shards, n = 4, 60
-	for _, noMVCC := range []bool{false, true} {
-		t.Run(fmt.Sprintf("noMVCC=%v", noMVCC), func(t *testing.T) {
-			opts := variant.Options{PoolSize: 4 << 20, HeapSize: 1 << 20, Knobs: engine.Knobs{NoMVCC: noMVCC}}
-			env := legacyImage(t, variant.SPP, opts, shards, legacyPairs(n))
-			base := make([]byte, env.Dev.Size())
-			copy(base, env.Dev.Data())
+	t.Run("noMVCC=false", func(t *testing.T) {
+		opts := variant.Options{PoolSize: 4 << 20, HeapSize: 1 << 20}
+		env := legacyImage(t, variant.SPP, opts, shards, legacyPairs(n))
+		base := make([]byte, env.Dev.Size())
+		copy(base, env.Dev.Data())
 
-			tr := pmemcheck.NewTracker()
-			env.Dev.EnableTracking(tr)
-			if _, err := Open(env.RT); err != nil {
-				t.Fatal(err)
-			}
-			env.Dev.DisableTracking()
-			want := env.Pool.Stats()
+		tr := pmemcheck.NewTracker()
+		env.Dev.EnableTracking(tr)
+		if _, err := Open(env.RT); err != nil {
+			t.Fatal(err)
+		}
+		env.Dev.DisableTracking()
+		want := env.Pool.Stats()
 
-			if rep := pmemcheck.Analyze(tr.Events()); !rep.Clean() {
-				t.Fatalf("protocol violations: %v", rep.Violations[:min(3, len(rep.Violations))])
-			}
-			states, err := pmemcheck.Explore(base, tr.Events(),
-				pmemcheck.ExploreOptions{EveryNthFence: 1, MaxSingles: 1},
-				func(img []byte) error {
-					dev := pmem.NewPool("migrate-crash", uint64(len(img)))
-					copy(dev.Data(), img)
-					env2, err := variant.AdoptConfig(variant.SPP, dev, opts)
-					if err != nil {
-						return err
+		if rep := pmemcheck.Analyze(tr.Events()); !rep.Clean() {
+			t.Fatalf("protocol violations: %v", rep.Violations[:min(3, len(rep.Violations))])
+		}
+		states, err := pmemcheck.Explore(base, tr.Events(),
+			pmemcheck.ExploreOptions{EveryNthFence: 1, MaxSingles: 1},
+			func(img []byte) error {
+				dev := pmem.NewPool("migrate-crash", uint64(len(img)))
+				copy(dev.Data(), img)
+				env2, err := variant.AdoptConfig(variant.SPP, dev, opts)
+				if err != nil {
+					return err
+				}
+				s2, err := Open(env2.RT)
+				if err != nil {
+					return err
+				}
+				if v := readPlacement(t, s2); v != placementVersion {
+					return fmt.Errorf("placement word %d after recovery", v)
+				}
+				for i := 0; i < n; i++ {
+					if v, ok, err := s2.Get(ledgerKey(i)); err != nil || !ok || !bytes.Equal(v, legacyVal(i)) {
+						return fmt.Errorf("Get(%s) = %q, %v, %v", ledgerKey(i), v, ok, err)
 					}
-					s2, err := Open(env2.RT)
-					if err != nil {
-						return err
-					}
-					if v := readPlacement(t, s2); v != placementVersion {
-						return fmt.Errorf("placement word %d after recovery", v)
-					}
-					for i := 0; i < n; i++ {
-						if v, ok, err := s2.Get(ledgerKey(i)); err != nil || !ok || !bytes.Equal(v, legacyVal(i)) {
-							return fmt.Errorf("Get(%s) = %q, %v, %v", ledgerKey(i), v, ok, err)
-						}
-					}
-					if cnt, err := s2.Count(); err != nil || cnt != n {
-						return fmt.Errorf("Count = %d, %v", cnt, err)
-					}
-					if got := env2.Pool.Stats(); got.AllocatedObjects != want.AllocatedObjects || got.AllocatedBytes != want.AllocatedBytes {
-						return fmt.Errorf("%d objects / %d bytes allocated, an uninterrupted migration ends with %d / %d",
-							got.AllocatedObjects, got.AllocatedBytes, want.AllocatedObjects, want.AllocatedBytes)
-					}
-					return nil
-				})
-			if err != nil {
-				t.Fatalf("inconsistent crash state: %v", err)
-			}
-			t.Logf("%d crash states consistent", states)
-		})
-	}
+				}
+				if cnt, err := s2.Count(); err != nil || cnt != n {
+					return fmt.Errorf("Count = %d, %v", cnt, err)
+				}
+				if got := env2.Pool.Stats(); got.AllocatedObjects != want.AllocatedObjects || got.AllocatedBytes != want.AllocatedBytes {
+					return fmt.Errorf("%d objects / %d bytes allocated, an uninterrupted migration ends with %d / %d",
+						got.AllocatedObjects, got.AllocatedBytes, want.AllocatedObjects, want.AllocatedBytes)
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("inconsistent crash state: %v", err)
+		}
+		t.Logf("%d crash states consistent", states)
+	})
 }
 
 // TestSafePMPreload: a 256 MB SafePM pool — whose 32 MB shadow

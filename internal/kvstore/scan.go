@@ -7,8 +7,8 @@
 // has one — seek lo, step to the successor, O(log n + rows) — and
 // otherwise the root's in-range entries collected by walking every
 // chain and sorted, O(keys in the shard). The walk serves roots pinned
-// before the index was activated and the NoMVCC ablation, and is the
-// oracle the index is tested against.
+// before the index was activated, and is the oracle the index is tested
+// against.
 //
 // What a scan needs besides its rows it borrows from the store's pool
 // for the length of the call, as one scanWS. The borrower is its only
@@ -69,14 +69,11 @@ func (s *Store) parkScan(ws *scanWS) {
 }
 
 // scanItem is one in-range entry: the key (loaded eagerly — ordering
-// needs it) and the entry oid. val is loaded lazily at visit time on
-// the snapshot path (the pin keeps the entry alive); the locked path
-// loads it eagerly before the shard lock drops.
+// needs it) and the entry oid. The value is loaded at visit time; the
+// pin keeps the entry alive until then.
 type scanItem struct {
-	key    []byte
-	val    []byte
-	hasVal bool
-	entry  pmemobj.Oid
+	key   []byte
+	entry pmemobj.Oid
 }
 
 // inRange reports lo <= key < hi, with nil meaning unbounded.
@@ -86,22 +83,15 @@ func inRange(key, lo, hi []byte) bool {
 }
 
 // collectRange walks one immutable shard root and returns its in-range
-// items sorted by key. With eager set, values are copied out too.
-func (s *Store) collectRange(c *ctx, root *shardRoot, lo, hi []byte, eager bool) ([]scanItem, error) {
+// items sorted by key.
+func (s *Store) collectRange(c *ctx, root *shardRoot, lo, hi []byte) ([]scanItem, error) {
 	var items []scanItem
 	var walked uint64
-	s.walkRoot(c, root, func(_ uint64, entry pmemobj.Oid, ep uint64, key []byte) {
+	s.walkRoot(c, root, func(_ uint64, entry pmemobj.Oid, _ uint64, key []byte) {
 		walked++
-		if !inRange(key, lo, hi) {
-			return
+		if inRange(key, lo, hi) {
+			items = append(items, scanItem{key: append([]byte(nil), key...), entry: entry})
 		}
-		it := scanItem{key: append([]byte(nil), key...), entry: entry}
-		if eager {
-			vlen := c.Load(ep, enVLen)
-			it.val = c.LoadBytes(ep, s.entryDataOff()+int64(len(key)), vlen)
-			it.hasVal = true
-		}
-		items = append(items, it)
 	})
 	metScanExamined.Add(walked)
 	if err := c.Take(); err != nil {
@@ -203,16 +193,14 @@ func (s *Store) visitMerged(ws *scanWS, hi []byte, fn func(key, value []byte) bo
 			key, val = data[:klen:klen], data[klen:]
 		} else {
 			it := r.items[0]
-			key, val = it.key, it.val
-			if !it.hasVal {
-				ep := c.Direct(it.entry)
-				vlen := c.Load(ep, enVLen)
-				val = c.AppendBytes(ws.scratch[:0], ep, s.entryDataOff()+int64(len(key)), vlen)
-				if err := c.Take(); err != nil {
-					return err
-				}
-				ws.scratch = val
+			key = it.key
+			ep := c.Direct(it.entry)
+			vlen := c.Load(ep, enVLen)
+			val = c.AppendBytes(ws.scratch[:0], ep, s.entryDataOff()+int64(len(key)), vlen)
+			if err := c.Take(); err != nil {
+				return err
 			}
+			ws.scratch = val
 		}
 		returned++
 		if !fn(key, val) {
@@ -234,18 +222,13 @@ func (s *Store) visitMerged(ws *scanWS, hi []byte, fn func(key, value []byte) bo
 
 // Scan visits every key in [lo, hi) in ascending byte order (nil lo
 // scans from the start, nil hi to the end), stopping early when fn
-// returns false. Under MVCC it runs against a private snapshot — a pin
-// and the roots it captures into its workspace — whose roots carry the
-// ordered index: the first scan of a store builds it, O(keys) once;
-// after that a scan costs O(shards · log keys + rows visited) and
-// writers keep the index current. Under NoMVCC it falls back to
-// per-shard locked collection, O(keys) per scan. The key and value
-// slices handed to fn are valid until fn returns; fn copies what it
-// keeps.
+// returns false. It runs against a private snapshot — a pin and the
+// roots it captures into its workspace — whose roots carry the ordered
+// index: the first scan of a store builds it, O(keys) once; after that
+// a scan costs O(shards · log keys + rows visited) and writers keep the
+// index current. The key and value slices handed to fn are valid until
+// fn returns; fn copies what it keeps.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	if !s.mvcc {
-		return s.lockedScan(lo, hi, fn)
-	}
 	// Activate, then pin: the snapshot must capture the indexed roots.
 	if err := s.activateIndex(); err != nil {
 		return err
@@ -267,9 +250,6 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if sn.released {
 		return errReleased
 	}
-	if !sn.pinned {
-		return sn.s.lockedScan(lo, hi, fn)
-	}
 	ws := sn.s.borrowScan()
 	defer sn.s.parkScan(ws)
 	return sn.s.scanRoots(ws, sn.roots, lo, hi, fn)
@@ -282,7 +262,7 @@ func (s *Store) scanRoots(ws *scanWS, roots []*shardRoot, lo, hi []byte, fn func
 	for i, r := range roots {
 		if r.index == nil {
 			walked = true
-			items, err := s.collectRange(&ws.c, r, lo, hi, false)
+			items, err := s.collectRange(&ws.c, r, lo, hi)
 			if err != nil {
 				return err
 			}
@@ -300,33 +280,6 @@ func (s *Store) scanRoots(ws *scanWS, roots []*shardRoot, lo, hi []byte, fn func
 	if walked {
 		// This view stays un-indexed; the snapshots after it need not.
 		if err := s.activateIndex(); err != nil {
-			return err
-		}
-	}
-	return s.visitMerged(ws, hi, fn)
-}
-
-// lockedScan is the NoMVCC fallback: each shard is frozen under its
-// read lock just long enough to collect and copy its in-range pairs
-// (values eagerly — once the lock drops a writer may free the entry),
-// then the per-shard runs merge exactly like the snapshot path.
-func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	ws := s.borrowScan()
-	defer s.parkScan(ws)
-	c := &ws.c
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		root, err := s.loadRoot(c, sh)
-		if err == nil {
-			var items []scanItem
-			items, err = s.collectRange(c, root, lo, hi, true)
-			if len(items) > 0 {
-				ws.runs = append(ws.runs, run{items: items})
-			}
-		}
-		sh.mu.RUnlock()
-		if err != nil {
 			return err
 		}
 	}

@@ -99,7 +99,6 @@ type Pool struct {
 	undoCap  uint64
 
 	nArenas int
-	mvcc    bool
 
 	// scratch recycles the commit pipeline's per-call working set (flush
 	// accumulator + word buffer).
@@ -239,7 +238,6 @@ func open(dev *pmem.Pool, as *vmem.AddressSpace, base uint64, cfg Config) (*Pool
 	if p.nArenas <= 0 {
 		p.nArenas = DefaultNArenas
 	}
-	p.mvcc = !cfg.NoMVCC
 	p.scratch.New = func() any {
 		return &commitScratch{ac: pmem.NewFlushAccum(p.dev)}
 	}
@@ -559,7 +557,3 @@ func (p *Pool) Stats() Stats {
 // NArenas returns the number of allocator arenas the heap is running
 // with (after clamping to the heap size).
 func (p *Pool) NArenas() int { return p.nArenas }
-
-// MVCC reports whether kvstore snapshot isolation is active for stores
-// opened over this pool.
-func (p *Pool) MVCC() bool { return p.mvcc }

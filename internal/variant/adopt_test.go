@@ -10,8 +10,8 @@ import (
 
 // TestAdoptConfigThreadsVolatileKnobs is the regression test for the
 // Adopt path losing the volatile knobs: an environment adopted over an
-// existing image must honour the requested arena count and MVCC
-// setting, and keep honouring them across Reopen.
+// existing image must honour the requested arena count, and keep
+// honouring it across Reopen.
 func TestAdoptConfigThreadsVolatileKnobs(t *testing.T) {
 	env := newEnv(t, SPP)
 	oid, err := env.RT.Alloc(128)
@@ -25,16 +25,13 @@ func TestAdoptConfigThreadsVolatileKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := Options{Knobs: engine.Knobs{NArenas: 2, NoMVCC: true}}
+	opts := Options{Knobs: engine.Knobs{NArenas: 2}}
 	adopted, err := AdoptConfig(SPP, env.Dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := adopted.Pool.NArenas(); got != 2 {
 		t.Fatalf("adopted pool has %d arenas, want the configured 2", got)
-	}
-	if adopted.Pool.MVCC() {
-		t.Fatal("adopted pool kept MVCC despite NoMVCC")
 	}
 
 	// The knobs must survive a Reopen (this was the bug: Reopen rebuilt
@@ -44,9 +41,6 @@ func TestAdoptConfigThreadsVolatileKnobs(t *testing.T) {
 	}
 	if got := adopted.Pool.NArenas(); got != 2 {
 		t.Fatalf("reopened pool has %d arenas, want 2", got)
-	}
-	if adopted.Pool.MVCC() {
-		t.Fatal("reopened pool regained MVCC")
 	}
 
 	// And the adopted environment still reads the pre-crash data.
@@ -72,8 +66,5 @@ func TestAdoptDefaultsMatchOpen(t *testing.T) {
 	}
 	if got := adopted.Pool.NArenas(); got != pmemobj.DefaultNArenas {
 		t.Fatalf("adopted pool has %d arenas, want default %d", got, pmemobj.DefaultNArenas)
-	}
-	if !adopted.Pool.MVCC() {
-		t.Fatal("adopted pool lost MVCC by default")
 	}
 }

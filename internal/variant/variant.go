@@ -144,9 +144,9 @@ func Adopt(kind Kind, dev *pmem.Pool) (*Env, error) {
 }
 
 // AdoptConfig is Adopt with explicit volatile knobs (arena count,
-// MVCC, telemetry). The knobs are kept on the environment, so a
-// later Reopen preserves them — persistent geometry still comes from
-// the pool header.
+// telemetry). The knobs are kept on the environment, so a later Reopen
+// preserves them — persistent geometry still comes from the pool
+// header.
 func AdoptConfig(kind Kind, dev *pmem.Pool, opts Options) (*Env, error) {
 	if opts.HeapSize == 0 {
 		opts.HeapSize = 16 << 20
@@ -170,7 +170,7 @@ func AdoptConfig(kind Kind, dev *pmem.Pool, opts Options) (*Env, error) {
 // Reopen simulates an application restart: the pool is unmapped and
 // re-opened from the same device, running recovery and rebuilding the
 // runtime's metadata. The environment's volatile knobs (arena count,
-// MVCC, telemetry) carry over.
+// telemetry) carry over.
 func (e *Env) Reopen() error {
 	if err := e.Pool.Close(); err != nil {
 		return err

@@ -74,8 +74,7 @@ func (s *Store) Count() (uint64, error) {
 // scan costs O(log keys + rows visited), not O(keys). The index only
 // orders the scan: every key and value handed to fn was read from
 // persistent memory under the pool's protection, into slices fn is free
-// to keep. A pool running -no-mvcc has no index and pays O(keys) per
-// scan.
+// to keep.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return wrap(s.kv.Scan(lo, hi, ownedRows(fn)))
 }
@@ -102,8 +101,6 @@ type Snap struct {
 
 // Snapshot pins the store's current version and returns the frozen
 // view. Always Release it (safe via defer — Release is idempotent).
-// When the pool runs with -no-mvcc, the returned Snap degrades to
-// locked reads of live state and pins nothing.
 func (s *Store) Snapshot() *Snap {
 	return &Snap{sn: s.kv.Snapshot()}
 }
